@@ -3,14 +3,17 @@
 Every subcommand prints a single JSON document on stdout (or CSV rows
 for the tabular commands when --output csv is given) and is
 byte-deterministic for fixed inputs.  Exit codes: 0 on success, 2 for
-usage errors (argparse's own convention), 3 for domain errors such as a
-pole, a zero weight, or an undecidable branch comparison; domain errors
-print a structured JSON object on stderr and nothing on stdout.
+usage errors (argparse's own convention: bad flags, unreadable or
+non-finite arguments, csv on a non-tabular subcommand), 3 for domain
+errors such as a pole, a zero weight, or an undecidable branch
+comparison; every error prints a structured JSON object on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -29,6 +32,7 @@ from .bounds import (
 from .exact import (
     ExactComplex,
     QSqrt5,
+    parse_rational,
     parse_scalar,
     render_rational,
     render_scalar,
@@ -57,28 +61,43 @@ class _UsageError(Exception):
     """A flag combination argparse alone cannot reject."""
 
 
+def _report_error(kind: str, message: str) -> None:
+    """Print the JSON error object every failing run leaves on stderr."""
+    error = {"error": {"type": kind, "message": message}}
+    print(json.dumps(error, indent=2), file=sys.stderr)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reports usage errors as the JSON error object."""
+
+    def error(self, message):
+        _report_error("UsageError", f"{self.prog}: {message}")
+        self.exit(2)
+
+
 # -- argument conversion -------------------------------------------------------
 
 
-def _arg_scalar(text: str) -> ExactComplex:
+def _parsed(convert, text: str):
+    """Apply a scalar converter, turning any parse failure into a usage error."""
     try:
-        return parse_scalar(text)
+        return convert(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _arg_scalar(text: str) -> ExactComplex:
+    return _parsed(parse_scalar, text)
 
 
 def _arg_rational(text: str) -> Fraction:
-    try:
-        return parse_scalar(text).to_fraction()
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _parsed(parse_rational, text)
 
 
 def _arg_coeffs(text: str) -> list[ExactComplex]:
-    try:
-        return [parse_scalar(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _parsed(lambda t: [parse_scalar(part) for part in t.split(",")], text)
 
 
 def _arg_precision(text: str) -> int:
@@ -92,18 +111,24 @@ def _arg_precision(text: str) -> int:
 
 
 def _arg_point(text: str):
-    """Evaluation point: exact scalar text, or 're,im' / plain float."""
+    """Evaluation point: exact scalar text, or a finite 're,im' / plain float."""
     try:
         return "exact", parse_scalar(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
     except ValueError:
         pass
     try:
         if "," in text:
             re_part, im_part = text.split(",", 1)
-            return "numeric", complex(float(re_part), float(im_part))
-        return "numeric", complex(text)
+            point = complex(float(re_part), float(im_part))
+        else:
+            point = complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot read evaluation point {text!r}") from exc
+    if not cmath.isfinite(point):
+        raise argparse.ArgumentTypeError(f"evaluation point {text!r} is not finite")
+    return "numeric", point
 
 
 def _default_precision() -> int:
@@ -450,7 +475,7 @@ def _build_parser(default_precision: int) -> argparse.ArgumentParser:
         help=f"working precision in bits (default {default_precision}, env {ENV_PRECISION})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="faberfib",
         description="Exact coefficient machinery for golden-ratio subordination classes.",
     )
@@ -554,7 +579,7 @@ def main(argv=None) -> int:
     try:
         default_precision = _default_precision()
     except ValueError as exc:
-        print(f"faberfib: {exc}", file=sys.stderr)
+        _report_error("UsageError", str(exc))
         return 2
     parser = _build_parser(default_precision)
     try:
@@ -564,15 +589,14 @@ def main(argv=None) -> int:
     try:
         payload, columns, rows = args.handler(args)
     except _UsageError as exc:
-        print(f"faberfib: {exc}", file=sys.stderr)
+        _report_error("UsageError", str(exc))
         return 2
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error, indent=2), file=sys.stderr)
+        _report_error(type(exc).__name__, str(exc))
         return 3
     if args.output == "csv":
         if columns is None:
-            print(f"faberfib: no csv form for subcommand {args.subcommand!r}", file=sys.stderr)
+            _report_error("UsageError", f"no csv form for subcommand {args.subcommand!r}")
             return 2
         sys.stdout.write(_emit_csv(columns, rows))
     else:

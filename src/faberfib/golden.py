@@ -13,6 +13,13 @@ relation: given a series with constant term 1, it recovers the unique
 formal preimage under the generator and reports whether that preimage
 passes the first two coefficient tests every self-map of the disc
 fixing the origin must pass.
+
+Because the generator is rational, that inversion never expands powers
+of the preimage: `solve_schwarz` solves the quadratic relation
+P - 1 = t*P*w + t^2*(P + 1)*w^2 order by order in O(N^2) exact
+operations.  The partition-sum form of the same solve (generator
+coefficients against partial Bell polynomials) grows superpolynomially
+with N and serves only as the independent check in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from fractions import Fraction
 import mpmath
 
 from .exact import ExactComplex, QSqrt5
-from .faber import partial_bell
 from .series import TruncatedSeries
 
 __all__ = [
@@ -169,30 +175,54 @@ class SchwarzCandidate:
         return self.c1_within_unit and self.c2_within_margin
 
 
+def _convolve(left, right, lo: int, hi: int, k: int) -> ExactComplex:
+    """sum_{j=lo}^{hi} left[j] * right[k-j], skipping zero factors."""
+    total = ExactComplex(0)
+    for j in range(lo, hi + 1):
+        a = left[j]
+        if a:
+            b = right[k - j]
+            if b:
+                total = total + a * b
+    return total
+
+
 def solve_schwarz(subordinate: TruncatedSeries) -> SchwarzCandidate:
     """Invert P(z) = generator(w(z)) for the coefficients of w, order by order.
 
-    `subordinate` must have constant term exactly 1.  The order-n
-    coefficient of the composition is t*c_n plus a partition sum in
-    c_1 .. c_{n-1}, so the system is triangular and the solution exact
-    and unique.  The returned flags assert only necessary conditions: a
-    feasible candidate is consistent with, not proof of, an actual
-    disc self-map.
+    `subordinate` must have constant term exactly 1.  Clearing the
+    generator's denominator turns P = generator(w) into the quadratic
+    relation
+
+        P - 1 = t*P*w + t^2*(P + 1)*w^2,
+
+    whose order-k coefficient holds the unknown c_k only in the term
+    t*c_k (the coefficients s_k of w^2 involve c_1 .. c_{k-1} alone).
+    With p_j the coefficients of P, q_0 = 2 and q_j = p_j otherwise,
+
+        c_k = p_k/t - sum_{j=1}^{k-1} p_j c_{k-j} - t * sum_{j=0}^{k-2} q_j s_{k-j},
+
+    and 1/t = t - 1 exactly.  The solve is triangular, exact and unique
+    and costs O(N^2) `ExactComplex` operations at order N.  The returned
+    flags assert only necessary conditions: a feasible candidate is
+    consistent with, not proof of, an actual disc self-map.
     """
     if subordinate.coeffs[0] != 1:
         raise ValueError("subordinate series must have constant term exactly 1")
     n = subordinate.order
-    coeffs: list[ExactComplex] = []
     tau = ExactComplex(TAU)
+    tau_inverse = ExactComplex(TAU - 1)
+    p = [ExactComplex(c) for c in subordinate.coeffs]
+    q = [ExactComplex(2)] + p[1:]
+    # c and s are indexed from 0 so that c[j], s[j] are the z^j coefficients
+    c = [ExactComplex(0)] * (n + 1)
+    s = [ExactComplex(0)] * (n + 1)
     for k in range(1, n + 1):
-        acc = ExactComplex(0)
-        if k >= 2:
-            # parts of a partition of k into m >= 2 pieces stay below k,
-            # so the still-unknown c_k never enters the sum
-            known = coeffs + [ExactComplex(0)]
-            for m in range(2, k + 1):
-                acc = acc + golden_coefficient(m) * partial_bell(k, m, known)
-        coeffs.append((ExactComplex(subordinate.coeffs[k]) - acc) / tau)
+        s[k] = _convolve(c, c, 1, k - 1, k)
+        linear = _convolve(p, c, 1, k - 1, k)
+        quadratic = _convolve(q, s, 0, k - 2, k)
+        c[k] = p[k] * tau_inverse - linear - tau * quadratic
+    coeffs = c[1:]
 
     c1_within = True
     c1_boundary = False

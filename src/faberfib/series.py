@@ -168,18 +168,40 @@ class TruncatedSeries:
     def revert(self) -> "NormalizedSeries":
         """Compositional inverse g with self(g(w)) = w, solved order by order.
 
-        Requires a normalized series (c_0 = 0, c_1 = 1).  Each new
-        coefficient b_n is pinned by the order-n coefficient of the
-        composition, which is triangular in the unknowns.
+        Requires a normalized series (c_0 = 0, c_1 = 1).  The order-k
+        coefficient of self(g) is g_k plus terms in g_1 .. g_{k-1}, so
+
+            g_k = -sum_{m=2}^{k} c_m [z^k] g^m.
+
+        The powers of g are kept as a table filled one column k at a
+        time through [z^k] g^m = sum_{i=1}^{k-m+1} g_i [z^{k-i}] g^{m-1},
+        which needs only columns already filled.  Zero coefficients are
+        skipped.  The cost is O(N^3) field operations at order N, and no
+        series is composed.
         """
         if not self.is_normalized:
             raise ValueError("compositional inverse requires c_0 = 0 and c_1 = 1")
         field = self.field
         n = self.order
-        g = [field(0), field(1)] + [field(0)] * (n - 1)
+        zero = field(0)
+        g = [zero, field(1)] + [zero] * (n - 1)
+        # powers[m][j] = [z^j] g^m; row 1 is g itself, row 0 is never read
+        powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]
         for k in range(2, n + 1):
-            candidate = TruncatedSeries(g, field)
-            residue = self.compose(candidate).coeffs[k]
+            residue = zero
+            for m in range(2, k + 1):
+                lower = powers[m - 1]
+                entry = zero
+                for i in range(1, k - m + 2):
+                    gi = g[i]
+                    if gi:
+                        power = lower[k - i]
+                        if power:
+                            entry = entry + gi * power
+                powers[m][k] = entry
+                cm = self.coeffs[m]
+                if cm and entry:
+                    residue = residue + cm * entry
             g[k] = -residue
         return NormalizedSeries(g, field)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactComplex
-from .faber import faber_inverse_coefficients
 from .golden import SchwarzCandidate, solve_schwarz
 from .series import TruncatedSeries
 
@@ -154,9 +153,10 @@ def membership_witness(
 
     Truncates f to `order` (default: its own order, which must be at
     least 3 so that the inverse side sees a nontrivial coefficient),
-    forms both class series, recovers both formal preimages under the
-    golden generator, and checks the exact disc-map necessary
-    conditions on each.
+    takes the compositional inverse by `TruncatedSeries.revert`, forms
+    both class series, recovers both formal preimages under the golden
+    generator, and checks the exact disc-map necessary conditions on
+    each.
     """
     if order is None:
         order = f.order
@@ -167,7 +167,7 @@ def membership_witness(
     if not f.is_normalized:
         raise ValueError("membership test requires a normalized series")
     trimmed = f.truncated(order)
-    inverse = faber_inverse_coefficients(trimmed)
+    inverse = trimmed.revert()
     forward_candidate = solve_schwarz(subordination_lhs(trimmed, params))
     inverse_candidate = solve_schwarz(subordination_lhs(inverse, params))
     verdict = (

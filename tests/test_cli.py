@@ -16,10 +16,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
+    """Run a request that must succeed; parse its stdout as strict JSON."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=reject_constant)
+
+
+def run_usage_error(capsys, *argv):
+    """Run a request that must fail with exit 2; return its JSON error object."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    return error
 
 
 class TestHappyPaths:
@@ -203,29 +218,25 @@ class TestCsv:
         assert len(lines) == 4
 
     def test_csv_unsupported(self, capsys):
-        code, out, err = run_cli(capsys, "revert", "--coeffs", "0,1,0", "--output", "csv")
-        assert code == 2
-        assert out == ""
-        assert "no csv form" in err
+        error = run_usage_error(capsys, "revert", "--coeffs", "0,1,0", "--output", "csv")
+        assert "no csv form" in error["message"]
 
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
-        assert run_cli(capsys, "frobnicate")[0] == 2
+        run_usage_error(capsys, "frobnicate")
 
     def test_unknown_flag(self, capsys):
-        assert run_cli(capsys, "fib", "--count", "3", "--frob")[0] == 2
+        run_usage_error(capsys, "fib", "--count", "3", "--frob")
 
     def test_malformed_scalar(self, capsys):
-        assert run_cli(capsys, "revert", "--coeffs", "0,1,zebra")[0] == 2
+        run_usage_error(capsys, "revert", "--coeffs", "0,1,zebra")
 
     def test_theorem1_needs_n(self, capsys):
-        code, out, err = run_cli(
+        error = run_usage_error(
             capsys, "bound", "--theorem", "1", "--gamma", "1", "--mu", "1", "--rho", "1"
         )
-        assert code == 2
-        assert out == ""
-        assert "--n" in err
+        assert "--n" in error["message"]
 
     def test_domain_errors_are_json(self, capsys):
         code, out, err = run_cli(
@@ -257,7 +268,24 @@ class TestExitCodes:
         )[0] == 3
 
     def test_precision_floor(self, capsys):
-        assert run_cli(capsys, "ptilde", "--order", "2", "--precision", "52")[0] == 2
+        run_usage_error(capsys, "ptilde", "--order", "2", "--precision", "52")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ptilde-eval", "--z", "1/0"),
+            ("ptilde-eval", "--z", "(1/0)*i"),
+            ("revert", "--coeffs", "0,1,1/0"),
+            ("class-lhs", "--coeffs", "0,1,0", "--gamma", "1/0", "--mu", "1", "--rho", "1"),
+            ("class-lhs", "--coeffs", "0,1,0", "--gamma", "1", "--mu", "2/0", "--rho", "1"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        assert "zero denominator" in run_usage_error(capsys, *argv)["message"]
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400,0", "0,nan", "nanj"])
+    def test_nonfinite_point_is_usage_error(self, capsys, point):
+        assert "not finite" in run_usage_error(capsys, "ptilde-eval", f"--z={point}")["message"]
 
 
 class TestPrecisionEnv:
@@ -279,9 +307,9 @@ class TestPrecisionEnv:
 
     def test_env_validation(self, capsys, monkeypatch):
         monkeypatch.setenv("FABERFIB_PRECISION", "10")
-        assert run_cli(capsys, "fib", "--count", "2")[0] == 2
+        run_usage_error(capsys, "fib", "--count", "2")
         monkeypatch.setenv("FABERFIB_PRECISION", "zebra")
-        assert run_cli(capsys, "fib", "--count", "2")[0] == 2
+        run_usage_error(capsys, "fib", "--count", "2")
 
 
 class TestDeterminism:

@@ -11,8 +11,12 @@ from faberfib import (
     ABS_TAU,
     TAU,
     UNIVALENCE_RADIUS,
+    ClassParams,
     ExactComplex,
+    NormalizedSeries,
+    OperatorParams,
     QSqrt5,
+    SchwarzCandidate,
     TruncatedSeries,
     fibonacci,
     golden_coefficient,
@@ -20,7 +24,9 @@ from faberfib import (
     golden_series,
     golden_value,
     golden_value_exact,
+    partial_bell,
     solve_schwarz,
+    subordination_lhs,
 )
 
 TAU_SQ = TAU * TAU
@@ -199,7 +205,78 @@ def compose_with_generator(inner_coeffs):
     return golden_series(order).compose(inner)
 
 
+def partition_sum_schwarz(subordinate):
+    """The Schwarz solve as a partition sum, independent of the quadratic relation.
+
+    The order-k coefficient of generator(w) is t*c_k plus
+    sum_{m=2}^{k} golden_coefficient(m) * partial_bell(k, m, c), and the
+    partition sums never reach the unknown c_k.
+    """
+    tau = ExactComplex(TAU)
+    coeffs = []
+    for k in range(1, subordinate.order + 1):
+        known = coeffs + [ExactComplex(0)]
+        acc = ExactComplex(0)
+        for m in range(2, k + 1):
+            acc = acc + golden_coefficient(m) * partial_bell(k, m, known)
+        coeffs.append((ExactComplex(subordinate.coeffs[k]) - acc) / tau)
+    c1_within, c1_boundary, c2_within, c2_boundary = True, False, True, False
+    if coeffs:
+        slack = 1 - coeffs[0].abs_squared()
+        c1_within, c1_boundary = slack.sign() >= 0, slack.sign() == 0
+    if len(coeffs) >= 2:
+        # |c_2| <= 1 - |c_1|**2 only makes sense once |c_1| <= 1 holds
+        gap = slack * slack - coeffs[1].abs_squared()
+        c2_within = c1_within and gap.sign() >= 0
+        c2_boundary = c1_within and gap.sign() == 0
+    return SchwarzCandidate(
+        tuple(coeffs), c1_within, c2_within, c1_boundary, c2_boundary
+    )
+
+
+def rand_exact_complex(rng):
+    return ExactComplex(
+        QSqrt5(rand_fraction(rng, 9), rand_fraction(rng, 9)),
+        QSqrt5(rand_fraction(rng, 9), rand_fraction(rng, 9)),
+    )
+
+
 class TestSolveSchwarz:
+    def test_matches_partition_sum_route_on_class_series(self):
+        rng = random.Random(403)
+        scales = (Fraction(1, 100), Fraction(1, 10), Fraction(1))
+        for order in range(1, 13):
+            scale = scales[order % 3]
+            h = NormalizedSeries.from_upper([rand_fraction(rng) * scale for _ in range(order)])
+            gamma = rand_exact_complex(rng) or ExactComplex(1)
+            op = OperatorParams(Fraction(rng.randint(1, 8), 4), Fraction(rng.randint(1, 8), 4))
+            series = subordination_lhs(h, ClassParams(gamma, op))
+            assert series.order == order
+            assert solve_schwarz(series) == partition_sum_schwarz(series)
+
+    def test_matches_partition_sum_route_on_sparse_series(self):
+        rng = random.Random(404)
+        for order in range(1, 13):
+            coeffs = [ExactComplex(1)] + [
+                rand_exact_complex(rng) / 7 if rng.random() < 0.4 else ExactComplex(0)
+                for _ in range(order)
+            ]
+            series = TruncatedSeries(coeffs, ExactComplex)
+            assert solve_schwarz(series) == partition_sum_schwarz(series)
+
+    def test_matches_partition_sum_route_on_boundary_cases(self):
+        cases = [
+            golden_series(5),
+            TruncatedSeries([Fraction(1), 0, 0, 0]),
+            compose_with_generator([Fraction(2), 0, 0]),
+            compose_with_generator([Fraction(1, 2), Fraction(3, 4), 0]),
+            compose_with_generator([Fraction(1, 2), Fraction(7, 8), 0]),
+            compose_with_generator([Fraction(1, 3)]),
+            compose_with_generator([Fraction(0), Fraction(1), Fraction(-1, 2)]),
+        ]
+        for series in cases:
+            assert solve_schwarz(series) == partition_sum_schwarz(series)
+
     def test_identity_preimage(self):
         candidate = solve_schwarz(golden_series(5))
         assert candidate.coeffs == tuple(

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from faberfib import ExactComplex, NormalizedSeries, QSqrt5, TruncatedSeries, join_field
+from faberfib import (
+    ExactComplex,
+    NormalizedSeries,
+    QSqrt5,
+    TruncatedSeries,
+    faber_inverse_coefficients,
+    join_field,
+)
 
 
 def rand_fraction(rng, span=30):
@@ -173,6 +180,32 @@ class TestRevert:
             assert f.compose(g) == ident
             assert g.compose(f) == ident
             assert g.revert() == TruncatedSeries(f.coeffs)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_faber_route_up_to_order_28(self, sparse):
+        rng = random.Random(207 + sparse)
+        for order in (2, 3, 5, 8, 12, 17, 22, 28):
+            upper = [
+                rand_fraction(rng) if not sparse or rng.random() < 0.2 else Fraction(0)
+                for _ in range(order - 1)
+            ]
+            f = NormalizedSeries.from_upper(upper)
+            assert f.revert() == faber_inverse_coefficients(f)
+
+    def test_exact_tower_fields(self):
+        rng = random.Random(209)
+        ident = identity(7, ExactComplex)
+        for field in (QSqrt5, ExactComplex):
+            coeffs = [0, 1] + [
+                field(QSqrt5(rand_fraction(rng), rand_fraction(rng))) for _ in range(6)
+            ]
+            if field is ExactComplex:
+                coeffs[3] = ExactComplex(rand_fraction(rng), rand_fraction(rng))
+            f = NormalizedSeries(coeffs, field)
+            g = f.revert()
+            assert g.field is field
+            assert g == faber_inverse_coefficients(f)
+            assert f.compose(g) == ident
 
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
