@@ -4,9 +4,17 @@ Three scalar types form a tower: `fractions.Fraction` (rationals),
 `QSqrt5` (the real quadratic field Q(sqrt 5)), and `ExactComplex`
 (complex numbers whose real and imaginary parts live in Q(sqrt 5)).
 Arithmetic between levels promotes upward and is exact everywhere; no
-operation in this module rounds.  Floats appear only in the explicit
-conversion helpers at the bottom, which return a value together with a
-guaranteed error bound derived from dyadic interval enclosures.
+operation in this module rounds.
+
+A `QSqrt5` stores (a + b*sqrt5)/d as three ints with d > 0 and
+gcd(a, b, d) == 1, so each value has one form and each ring operation
+costs integer products and a single gcd rather than a handful of
+Fraction operations.  `ExactComplex` holds two `QSqrt5` parts.  The
+constructors take int, Fraction or the exact types and refuse floats,
+whose binary expansion would otherwise enter the exact core unnoticed.
+Floats appear only in the explicit conversion helpers at the bottom,
+which return a value together with a guaranteed error bound derived
+from dyadic interval enclosures.
 
 The module also owns the text grammar for scalars ("3/4",
 "-1/2 + 1/2*sqrt5", "2 + 1/3*i", ...) used by the command line and by
@@ -41,35 +49,49 @@ __all__ = [
 ]
 
 
+def _rational_terms(x):
+    """(numerator, denominator) of an int or Fraction; floats are refused."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"exact scalars take int or Fraction components, not {type(x).__name__}")
+
+
 @total_ordering
 class QSqrt5:
-    """An element a + b*sqrt(5) of the real quadratic field Q(sqrt 5).
+    """An element (a + b*sqrt(5))/d of the real quadratic field Q(sqrt 5).
 
-    `a` and `b` are exact rationals.  The representation is unique, so
-    equality is component-wise.  Ordering is the order inherited from
-    the reals and is decided exactly by comparing squares of integers,
+    Stored as three ints `(a, b, d)` with `d > 0` and
+    `gcd(a, b, d) == 1`, so every value, zero included (`(0, 0, 1)`),
+    has exactly one form and equality compares the triples.  The
+    constructor takes the rational and radical parts as int or Fraction
+    (never float); `rational_part` and `radical_part` give them back as
+    Fractions.  Every ring operation works on the ints and reduces its
+    result once, by one gcd.  Ordering is the order inherited from the
+    reals and is decided exactly by comparing squares of integers,
     never through floating point.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a=0, b=0):
         if isinstance(a, QSqrt5):
             if b != 0:
                 raise TypeError("cannot combine a QSqrt5 with a second component")
-            self._a = a._a
-            self._b = a._b
+            self._a, self._b, self._d = a._a, a._b, a._d
             return
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+        na, da = _rational_terms(a)
+        nb, db = _rational_terms(b)
+        na, nb, d = na * db, nb * da, da * db
+        g = math.gcd(na, nb, d)
+        self._a, self._b, self._d = na // g, nb // g, d // g
 
     @property
     def rational_part(self) -> Fraction:
-        return self._a
+        return Fraction(self._a, self._d)
 
     @property
     def radical_part(self) -> Fraction:
-        return self._b
+        return Fraction(self._b, self._d)
 
     # -- ring structure -------------------------------------------------
 
@@ -84,7 +106,10 @@ class QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self._a + o._a, self._b + o._b)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a + o._a, self._b + o._b, d)
+        return _reduced(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
@@ -92,7 +117,10 @@ class QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self._a - o._a, self._b - o._b)
+        d, e = self._d, o._d
+        if d == e:
+            return _reduced(self._a - o._a, self._b - o._b, d)
+        return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -104,33 +132,35 @@ class QSqrt5:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(
-            self._a * o._a + 5 * self._b * o._b,
-            self._a * o._b + self._b * o._a,
-        )
+        a, b, c, f = self._a, self._b, o._a, o._b
+        return _reduced(a * c + 5 * b * f, a * f + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QSqrt5(-self._a, -self._b)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "QSqrt5":
         """The field conjugate a - b*sqrt(5)."""
-        return QSqrt5(self._a, -self._b)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - 5*b**2 (a rational)."""
-        return self._a * self._a - 5 * self._b * self._b
+        return Fraction(self._a * self._a - 5 * self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "QSqrt5":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a - 5 * b * b
         if n == 0:
-            # a**2 == 5*b**2 with rationals forces a == b == 0
+            # a**2 == 5*b**2 with integers forces a == b == 0
             raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return QSqrt5(self._a / n, -self._b / n)
+        # d/(a + b*sqrt5) = d*(a - b*sqrt5)/n, with the sign of n moved up
+        if n < 0:
+            return _reduced(-d * a, d * b, -n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -163,7 +193,7 @@ class QSqrt5:
 
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(5): -1, 0 or +1, decided exactly."""
-        a, b = self._a, self._b
+        a, b = self._a, self._b  # d > 0 does not change the sign
         if b == 0:
             return -1 if a < 0 else (0 if a == 0 else 1)
         if a == 0:
@@ -187,12 +217,12 @@ class QSqrt5:
             if isinstance(other, ExactComplex):
                 return other == self
             return NotImplemented
-        return self._a == o._a and self._b == o._b
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b, "sqrt5"))
+            return hash(self.rational_part)
+        return hash((self.rational_part, self.radical_part, "sqrt5"))
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -215,11 +245,11 @@ class QSqrt5:
     def to_fraction(self) -> Fraction:
         if self._b != 0:
             raise ValueError(f"{self} has an irrational part")
-        return self._a
+        return self.rational_part
 
     def __float__(self):
         if self._b == 0:
-            return float(self._a)
+            return self._a / self._d
         if self.sign() == 0:
             return 0.0
         bits = 128
@@ -231,10 +261,24 @@ class QSqrt5:
             bits *= 2
 
     def __repr__(self):
-        return f"QSqrt5({self._a!r}, {self._b!r})"
+        return f"QSqrt5({self.rational_part!r}, {self.radical_part!r})"
 
     def __str__(self):
         return render_qsqrt5(self)
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int) -> QSqrt5:
+    """The QSqrt5 (a + b*sqrt5)/d for ints with d > 0, reduced by one gcd."""
+    x = _new(QSqrt5)
+    g = math.gcd(a, b, d)
+    if g == 1:
+        x._a, x._b, x._d = a, b, d
+    else:
+        x._a, x._b, x._d = a // g, b // g, d // g
+    return x
 
 
 class ExactComplex:
@@ -253,8 +297,9 @@ class ExactComplex:
             self._re = re._re
             self._im = re._im
             return
-        self._re = QSqrt5(re)
-        self._im = QSqrt5(im)
+        # QSqrt5 values are immutable, so they are shared, not copied
+        self._re = re if type(re) is QSqrt5 else QSqrt5(re)
+        self._im = im if type(im) is QSqrt5 else QSqrt5(im)
 
     @property
     def real(self) -> QSqrt5:

@@ -19,6 +19,12 @@ __all__ = ["TruncatedSeries", "NormalizedSeries", "join_field"]
 _TOWER = (Fraction, QSqrt5, ExactComplex)
 
 
+def _exact_fraction(c) -> Fraction:
+    if isinstance(c, float):
+        raise TypeError("series coefficients must be exact, not float")
+    return Fraction(c)
+
+
 def join_field(first, second):
     """Smallest field in the Fraction < QSqrt5 < ExactComplex tower holding both."""
     if first is second:
@@ -35,7 +41,8 @@ class TruncatedSeries:
     """Coefficients c_0 .. c_N of a power series truncated at order N."""
 
     def __init__(self, coeffs, field=Fraction):
-        coeffs = tuple(field(c) for c in coeffs)
+        convert = _exact_fraction if field is Fraction else field
+        coeffs = tuple(convert(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         self.coeffs = coeffs

@@ -108,6 +108,202 @@ class TestQSqrt5Field:
             QSqrt5(x, 1)
 
 
+class TestRejectsFloats:
+    """A float would bring its binary expansion into the exact core."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QSqrt5(0.1),
+            lambda: QSqrt5(1, 0.5),
+            lambda: QSqrt5(Fraction(1, 2), 2.0),
+            lambda: ExactComplex(0.5),
+            lambda: ExactComplex(1, 0.25),
+            lambda: ExactComplex(QSqrt5(1), 1.0),
+        ],
+        ids=["qsqrt5", "qsqrt5-radical", "qsqrt5-fraction-float", "complex", "complex-imag",
+             "complex-qsqrt5-float"],
+    )
+    def test_float_components_raise(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_exact_components_accepted(self):
+        assert QSqrt5(1, Fraction(1, 2)) == QSqrt5(Fraction(1), Fraction(1, 2))
+        assert QSqrt5(True) == 1
+        assert ExactComplex(QSqrt5(0, 1), Fraction(1, 3)).imag == Fraction(1, 3)
+        assert ExactComplex(ExactComplex(2, 1)) == ExactComplex(2, 1)
+
+
+# -- independent route: Q(sqrt 5) as a pair of Fractions -----------------------
+
+
+def pair_of(x):
+    return (x.rational_part, x.radical_part)
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_inverse(x):
+    norm = x[0] * x[0] - 5 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def pair_pow(x, e):
+    base = pair_inverse(x) if e < 0 else x
+    acc = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        acc = pair_mul(acc, base)
+    return acc
+
+
+def pair_sign(x):
+    a, b = x
+    # a + b*sqrt5 has the sign of a when a**2 > 5*b**2, else the sign of b
+    if a * a > 5 * b * b:
+        return 1 if a > 0 else -1
+    if b == 0:
+        return 0
+    return 1 if b > 0 else -1
+
+
+def pair_hash(x):
+    return hash(x[0]) if x[1] == 0 else hash((x[0], x[1], "sqrt5"))
+
+
+def triple(x):
+    """The stored integer coordinates (a, b, d) of x = (a + b*sqrt5)/d."""
+    return (x._a, x._b, x._d)
+
+
+def assert_reduced(x):
+    a, b, d = triple(x)
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == pair_of(x)
+
+
+def pair_sample(rng):
+    """Random components, with some shared factors, zeros and negative norms."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return (Fraction(0), Fraction(0))
+    if kind == 1:  # equal denominators with a common factor left in
+        k, d = rng.randint(1, 6), rng.randint(1, 12)
+        return (Fraction(k * rng.randint(-9, 9), k * d), Fraction(k * rng.randint(-9, 9), k * d))
+    if kind == 2:  # |b| sqrt5 > |a|: negative norm
+        return (rand_fraction(rng, 5), Fraction(rng.choice((-1, 1)) * rng.randint(6, 40), rng.randint(1, 5)))
+    if kind == 3:
+        return (rand_fraction(rng), Fraction(0))
+    return (rand_fraction(rng), rand_fraction(rng))
+
+
+class TestAgainstFractionPairs:
+    def test_ring_ops_match(self):
+        rng = random.Random(115)
+        for _ in range(400):
+            p, q = pair_sample(rng), pair_sample(rng)
+            x, y = QSqrt5(*p), QSqrt5(*q)
+            for result, expected in (
+                (x + y, pair_add(p, q)),
+                (x - y, pair_sub(p, q)),
+                (x * y, pair_mul(p, q)),
+                (-x, (-p[0], -p[1])),
+                (x.conjugate(), (p[0], -p[1])),
+            ):
+                assert pair_of(result) == expected
+                assert_reduced(result)
+            assert x.norm() == p[0] * p[0] - 5 * p[1] * p[1]
+            if q != (0, 0):
+                assert pair_of(x / y) == pair_mul(p, pair_inverse(q))
+                assert pair_of(y.inverse()) == pair_inverse(q)
+                assert_reduced(x / y)
+                assert_reduced(y.inverse())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    _ = x / y
+
+    def test_mixed_operands_match(self):
+        rng = random.Random(116)
+        for _ in range(200):
+            p = pair_sample(rng)
+            x = QSqrt5(*p)
+            for r in (rng.randint(-7, 7), rand_fraction(rng)):
+                rp = (Fraction(r), Fraction(0))
+                assert pair_of(x + r) == pair_of(r + x) == pair_add(p, rp)
+                assert pair_of(x - r) == pair_sub(p, rp)
+                assert pair_of(r - x) == pair_sub(rp, p)
+                assert pair_of(x * r) == pair_of(r * x) == pair_mul(p, rp)
+                for result in (x + r, x - r, r - x, x * r):
+                    assert_reduced(result)
+                if r:
+                    assert pair_of(x / r) == pair_mul(p, pair_inverse(rp))
+                if p != (0, 0):
+                    assert pair_of(r / x) == pair_mul(rp, pair_inverse(p))
+
+    def test_powers_match(self):
+        rng = random.Random(117)
+        for _ in range(100):
+            p = pair_sample(rng)
+            x = QSqrt5(*p)
+            for e in range(-4, 7):
+                if e < 0 and p == (0, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        _ = x**e
+                    continue
+                result = x**e
+                assert pair_of(result) == pair_pow(p, e)
+                assert_reduced(result)
+
+    def test_order_equality_and_hash_match(self):
+        rng = random.Random(118)
+        for _ in range(400):
+            p, q = pair_sample(rng), pair_sample(rng)
+            x, y = QSqrt5(*p), QSqrt5(*q)
+            assert x.sign() == pair_sign(p)
+            assert (x < y) == (pair_sign(pair_sub(p, q)) < 0)
+            assert (x == y) == (p == q)
+            assert hash(x) == pair_hash(p)
+            assert bool(x) == (p != (0, 0))
+            assert x.is_rational == (p[1] == 0)
+
+    def test_cancellation_gives_the_one_zero(self):
+        rng = random.Random(119)
+        zero = QSqrt5(0)
+        assert triple(zero) == (0, 0, 1)
+        for _ in range(100):
+            x = QSqrt5(*pair_sample(rng))
+            for result in (x - x, x + (-x), x * 0, 0 * x, x * zero, x - QSqrt5(x)):
+                assert triple(result) == (0, 0, 1)
+                assert result == zero and not result
+                assert hash(result) == hash(0)
+                assert repr(result) == "QSqrt5(Fraction(0, 1), Fraction(0, 1))"
+
+    def test_non_coprime_parts_are_reduced(self):
+        x = QSqrt5(Fraction(2, 4), Fraction(6, 8))
+        assert triple(x) == (2, 3, 4)
+        assert repr(x) == "QSqrt5(Fraction(1, 2), Fraction(3, 4))"
+        assert triple(QSqrt5(Fraction(1, 6), Fraction(1, 10))) == (5, 3, 30)
+        assert triple(QSqrt5(Fraction(1, 2)) + QSqrt5(Fraction(1, 2))) == (1, 0, 1)
+        assert triple(QSqrt5(Fraction(3, 4), Fraction(1, 4)) + QSqrt5(Fraction(1, 4), Fraction(3, 4))) == (1, 1, 1)
+        # a negative norm moves its sign into the numerator of the inverse
+        y = QSqrt5(1, 1)  # norm 1 - 5 = -4
+        assert triple(y.inverse()) == (-1, 1, 4)
+        assert triple(QSqrt5(6, 4)) == (6, 4, 1)
+        assert triple(QSqrt5(Fraction(6, 7), Fraction(4, 7)) * 7) == (6, 4, 1)
+
+
 class TestSign:
     def test_spec_examples(self):
         assert TAU.sign() == -1

@@ -46,6 +46,18 @@ class TestConstruction:
         f = TruncatedSeries([1, Fraction(1, 2)], field=QSqrt5)
         assert isinstance(f.coefficient(0), QSqrt5)
 
+    def test_float_coefficients_rejected(self):
+        # a float would bring its binary expansion into the exact series
+        for coeffs, field in (
+            ([0.5], Fraction),
+            ([0, 1, 0.25], Fraction),
+            ([Fraction(1, 2), 1.0], Fraction),
+            ([0.5], QSqrt5),
+            ([0, 0.5], ExactComplex),
+        ):
+            with pytest.raises(TypeError):
+                TruncatedSeries(coeffs, field=field)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries([])
