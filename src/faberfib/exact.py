@@ -144,11 +144,11 @@ class QSqrt5:
         return self
 
     def conjugate(self) -> "QSqrt5":
-        """The field conjugate a - b*sqrt(5)."""
+        """The field conjugate (a - b*sqrt(5))/d."""
         return _reduced(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
-        """Field norm a**2 - 5*b**2 (a rational)."""
+        """Field norm (a**2 - 5*b**2)/d**2 (a rational)."""
         return Fraction(self._a * self._a - 5 * self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "QSqrt5":
