@@ -499,7 +499,7 @@ def _build_parser(default_precision: int) -> argparse.ArgumentParser:
     p.add_argument("--coeffs", type=_arg_coeffs, required=True, help="inputs a_1,...,a_{n+1} with a_1=1")
     p.set_defaults(handler=_cmd_faber_k)
 
-    p = sub.add_parser("inverse", parents=[common], help="compositional inverse by partition sums")
+    p = sub.add_parser("inverse", parents=[common], help="compositional inverse by Lagrange inversion")
     p.add_argument("--coeffs", type=_arg_coeffs, required=True)
     p.add_argument("--order", type=int, default=None, help="truncate the input before inverting")
     p.set_defaults(handler=_cmd_inverse)

@@ -427,6 +427,41 @@ class ExactComplex:
         return render_scalar(self)
 
 
+# -- integer coordinates over a shared denominator ---------------------------
+#
+# Integer kernels inside the package (series composition) take a list of
+# values of one field over one shared denominator d, each value as its
+# coordinates: an int x for x/d in Q, (a, b) for (a + b*sqrt5)/d in
+# Q(sqrt 5), and (a, b, c, e) for ((a + b*sqrt5) + (c + e*sqrt5)*i)/d in
+# Q(sqrt 5, i).
+
+
+def _integer_coordinates(values, field):
+    """(coordinates, d) of `values`, all of type `field`, over their least common denominator."""
+    if field is Fraction:
+        d = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (d // x.denominator) for x in values], d
+    if field is QSqrt5:
+        d = math.lcm(*(x._d for x in values))
+        return [(x._a * (d // x._d), x._b * (d // x._d)) for x in values], d
+    d = math.lcm(*(x._re._d for x in values), *(x._im._d for x in values))
+    coordinates = []
+    for x in values:
+        re, im = x._re, x._im
+        s, t = d // re._d, d // im._d
+        coordinates.append((re._a * s, re._b * s, im._a * t, im._b * t))
+    return coordinates, d
+
+
+def _from_integer_coordinates(coordinates, d, field):
+    """The values of `field` with these coordinates over d > 0, each reduced once."""
+    if field is Fraction:
+        return [Fraction(x, d) for x in coordinates]
+    if field is QSqrt5:
+        return [_reduced(a, b, d) for a, b in coordinates]
+    return [ExactComplex(_reduced(a, b, d), _reduced(c, e, d)) for a, b, c, e in coordinates]
+
+
 # -- dyadic interval enclosures ----------------------------------------------
 
 

@@ -1,13 +1,19 @@
-"""Partition-sum combinatorics for power and inverse coefficients.
+"""Power and inverse coefficients of unit series, and partition sums.
 
-`partial_bell(n, m, u)` is the coefficient of z^n in (u_1 z + ... +
-u_n z^n)^m, written as the classical sum over partitions of n into m
-parts.  `faber_polynomial(n, p, a)` assembles from these the coefficient
-of z^n in (a_1 + a_2 z + a_3 z^2 + ...)^p for any integer exponent p,
-positive or negative, using generalized binomial weights; with p = -n-1
-shifted appropriately this yields the coefficients of a compositional
-inverse without ever running a series reversion, which is the second,
-independent route the tests play against `TruncatedSeries.revert`.
+`faber_polynomial(n, p, a)` is the coefficient of z^n in
+(a_1 + a_2 z + a_3 z^2 + ...)^p with a_1 = 1, for any integer exponent
+p, positive or negative.  It runs J.C.P. Miller's recurrence for powers
+of a series (Knuth, TAOCP Vol. 2, section 4.7), O(n^2) field operations
+over whatever exact field the inputs share.  Through Lagrange inversion,
+b_n = (1/n) [z^{n-1}] (f(z)/z)^{-n}, it gives the coefficients of a
+compositional inverse without running a series reversion, in O(N^3)
+operations at order N; that is the second, independent route the tests
+play against `TruncatedSeries.revert`.
+
+`partial_bell(n, m, u)` is the coefficient of z^n in
+(u_1 z + ... + u_n z^n)^m, written as the classical sum over partitions
+of n into m parts.  Its cost grows with the partition count, which is
+superpolynomial in n; no other route in the package uses it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .exact import ExactComplex, QSqrt5
 from .series import NormalizedSeries, TruncatedSeries
 
 __all__ = [
@@ -26,7 +33,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# 256 entries hold the profiles of every (n, m) with n <= 22 (253 pairs);
+# beyond that the least recently used are dropped and recomputed on demand.
+@lru_cache(maxsize=256)
 def _partition_multiplicities(n: int, m: int):
     """Multiplicity profiles ((part, count), ...) of partitions of n into m parts."""
 
@@ -73,20 +82,35 @@ def partial_bell(n: int, m: int, u):
     return total
 
 
-def _falling_binomial(p: int, m: int) -> int:
-    """p*(p-1)*...*(p-m+1) / m! as an exact integer, any integer p."""
-    num = 1
-    for j in range(m):
-        num *= p - j
-    return num // factorial(m)
+# exact input types from the bottom of the tower up; an int is the ring Z
+_EXACT_TYPES = (int, Fraction, QSqrt5, ExactComplex)
+
+
+def _shared_type(values):
+    """The highest type of the tower among `values`; floats and others are refused."""
+    rank = 0
+    for x in values:
+        levels = [level for level, kind in enumerate(_EXACT_TYPES) if isinstance(x, kind)]
+        if not levels:
+            raise TypeError(f"exact inputs required, got {type(x).__name__}")
+        rank = max(rank, *levels)
+    return _EXACT_TYPES[rank]
 
 
 def faber_polynomial(n: int, p: int, a):
     """Coefficient of z^n in (a_1 + a_2 z + a_3 z^2 + ...)^p with a_1 = 1.
 
-    `a` supplies a_1 .. a_{n+1} (at least); p is any integer, with
-    negative exponents handled through generalized binomial weights.
-    Requires n >= 1 and a_1 == 1.
+    `a` supplies a_1 .. a_{n+1} (at least); p is any integer.  Requires
+    n >= 1 and a_1 == 1.  With h_j = a_{j+1} and q = (1 + h_1 z + ...)^p,
+    Miller's recurrence (from q' (1 + h) = p h' q) reads
+
+        q_0 = 1,   q_k = (1/k) * sum_{j=1}^{k} ((p+1) j - k) h_j q_{k-j},
+
+    O(n^2) operations in the field of a_2 .. a_{n+1}; zero terms are
+    skipped.  The result has the type those inputs share: ints give an
+    int (each division by k is exact), otherwise the highest of
+    Fraction < QSqrt5 < ExactComplex among them.  For p = 0 it is the
+    int 0, and for p = 1 it is a_{n+1} itself.  Floats are refused.
     """
     if n < 1:
         raise ValueError(f"coefficient index must be at least 1, got {n}")
@@ -95,27 +119,50 @@ def faber_polynomial(n: int, p: int, a):
         raise ValueError(f"need {n + 1} inputs a_1..a_{n + 1}, got {len(a)}")
     if a[0] != 1:
         raise ValueError("leading input a_1 must be exactly 1")
-    total = 0
-    shifted = a[1 : n + 1]  # u_i = a_{i+1}; the z-expansion starts above the constant 1
-    for m in range(1, n + 1):
-        weight = _falling_binomial(p, m)
-        if weight:
-            total = total + weight * partial_bell(n, m, shifted)
-    return total
+    field = _shared_type(a[1 : n + 1])
+    if p == 0:
+        return 0
+    if p == 1:
+        return a[n]
+    return _power_coefficient([None] + [field(x) for x in a[1 : n + 1]], p, n, field)
+
+
+def _power_coefficient(h, p: int, n: int, field):
+    """[z^n] (1 + h[1] z + h[2] z^2 + ...)^p by Miller's recurrence.
+
+    `h` holds values of `field` from index 1 on (h[0] is not read);
+    an int field divides exactly by k.
+    """
+    zero = field(0)
+    q = [field(1)]
+    for k in range(1, n + 1):
+        acc = zero
+        for j in range(1, k + 1):
+            hj = h[j]
+            if hj:
+                prior = q[k - j]
+                weight = (p + 1) * j - k
+                if prior and weight:
+                    acc = acc + hj * prior * weight
+        q.append(acc // k if field is int else acc / k)
+    return q[n]
 
 
 def faber_inverse_coefficients(f: TruncatedSeries) -> NormalizedSeries:
     """Compositional inverse coefficients b_n = (1/n) * [z^{n-1}] (f(z)/z)^{-n}.
 
-    An order-by-order closed form: no triangular solve is involved, so
-    the result can be checked against `TruncatedSeries.revert`.
+    An order-by-order closed form: each b_n is one run of Miller's
+    recurrence (see `faber_polynomial`) with p = -n, O(n^2) field
+    operations, so order N costs O(N^3).  No triangular solve is
+    involved, so the result can be checked against
+    `TruncatedSeries.revert`.
     """
     if not f.is_normalized:
         raise ValueError("inverse coefficients require a normalized series")
-    upper = list(f.coeffs[1:])  # a_1 = 1, a_2, ..., a_N
+    h = f.coeffs[1:]  # h[j] = a_{j+1}; h[0] = a_1 = 1 is not read
     out = [f.field(0), f.field(1)]
     for n in range(2, f.order + 1):
-        out.append(Fraction(1, n) * faber_polynomial(n - 1, -n, upper))
+        out.append(Fraction(1, n) * _power_coefficient(h, -n, n - 1, f.field))
     return NormalizedSeries(out, f.field)
 
 

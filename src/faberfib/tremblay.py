@@ -102,8 +102,11 @@ def apply_operator(f: TruncatedSeries, op: OperatorParams) -> TruncatedSeries:
     if f.coeffs[0]:
         raise ValueError("operator acts on series with zero constant term")
     out = [f.field(0)]
+    multiplier = Fraction(1)
     for n in range(1, f.order + 1):
-        out.append(operator_multiplier(n, op) * f.coeffs[n])
+        # running product: operator_multiplier(n, op) = (mu)_n / (rho)_n
+        multiplier *= (op.mu + n - 1) / (op.rho + n - 1)
+        out.append(multiplier * f.coeffs[n])
     return TruncatedSeries(out, f.field)
 
 
@@ -113,14 +116,19 @@ def subordination_lhs(h: TruncatedSeries, params: ClassParams) -> TruncatedSerie
     Its constant term is exactly 1 and its coefficient of z^{n-1} is
     (n / gamma) * prod_{k=1}^{n-1} (mu+k)/(rho+k) * h_n, the normalized
     derivative of the operator image of h.  With mu = rho = 1 it
-    collapses to 1 + (h' - 1)/gamma.
+    collapses to 1 + (h' - 1)/gamma.  The product is kept running over
+    n and 1/gamma is formed once, so order N costs O(N) operations.
     """
     if not h.is_normalized:
         raise ValueError("class test requires a normalized series")
+    mu, rho = params.op.mu, params.op.rho
+    inverse_gamma = params.gamma.inverse()
     out = [ExactComplex(1)]
+    ratio = Fraction(1)
     for n in range(2, h.order + 1):
-        ratio = rising_ratio(params.op.mu + 1, params.op.rho + 1, n - 1)
-        out.append(ratio * n * ExactComplex(h.coeffs[n]) / params.gamma)
+        # running product: ratio = (mu+1)_{n-1} / (rho+1)_{n-1}
+        ratio *= (mu + n - 1) / (rho + n - 1)
+        out.append(ratio * n * ExactComplex(h.coeffs[n]) * inverse_gamma)
     return TruncatedSeries(out, ExactComplex)
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_inverse_routes_agree(capsys):
         capsys,
         1,
         ok,
-        "100 random normalized rational series at order 10: partition-sum inverse "
+        "100 random normalized rational series at order 10: Lagrange (Miller) inverse "
         f"equals triangular reversion exactly ({elapsed:.1f}s)",
     )
 

@@ -2,8 +2,12 @@
 
 Changing how the exact scalars are stored or computed must not change
 any exact output.  These digests are the sha256 of the `repr` of fixed
-results, recorded before the integer-coordinate `QSqrt5`; any
-difference in a coefficient, a flag or a canonical form changes them.
+results (or of a command's stdout); any difference in a coefficient, a
+flag or a canonical form changes them.  The witness and Schwarz digests
+were recorded before the integer-coordinate `QSqrt5`; the Faber,
+composition and command digests before Miller's recurrence replaced the
+partition sums in `faber_polynomial` and the integer-coordinate kernel
+replaced the ring-object loop in `TruncatedSeries.compose`.
 """
 
 import hashlib
@@ -18,9 +22,13 @@ from faberfib import (
     OperatorParams,
     QSqrt5,
     TruncatedSeries,
+    faber_inverse_coefficients,
+    faber_polynomial,
+    golden_series,
     membership_witness,
     solve_schwarz,
 )
+from faberfib.cli import main
 
 UPPER = [
     Fraction(n, d)
@@ -88,3 +96,74 @@ def test_schwarz_solve_repr_pinned():
     candidate = solve_schwarz(SCHWARZ_SERIES)
     assert any(not c.real.is_rational for c in candidate.coeffs)
     assert digest(candidate) == SCHWARZ_DIGEST
+
+
+# a dense order-28 map with small, unrelated denominators
+INVERSE_UPPER = [Fraction((-1) ** k * (k % 7 + 1), k % 5 + 2) for k in range(27)]
+
+INVERSE_DIGESTS = {
+    20: "72e2a57f0c8e861a58d40feff99592fc7503ebb35d9a6724f42c82c71714b762",
+    28: "02c995856f0131f9122f9110694e3b2fa578e6eeb4f787d1325bc3fdf21dd2ce",
+}
+
+
+@pytest.mark.parametrize("order", sorted(INVERSE_DIGESTS))
+def test_faber_inverse_repr_pinned(order):
+    f = NormalizedSeries.from_upper(INVERSE_UPPER[: order - 1])
+    assert digest(faber_inverse_coefficients(f)) == INVERSE_DIGESTS[order]
+
+
+FABER_INPUTS = {
+    Fraction: [Fraction(1)] + UPPER[:10],
+    QSqrt5: [QSqrt5(1)] + [QSqrt5(c, UPPER[-1 - k]) for k, c in enumerate(UPPER[:10])],
+    ExactComplex: [ExactComplex(1)]
+    + [ExactComplex(QSqrt5(c, UPPER[k + 1]), UPPER[-1 - k]) for k, c in enumerate(UPPER[:10])],
+}
+
+FABER_DIGESTS = {
+    Fraction: "ecb787f5c41a295bf207a0f2cd0e0053a91721f5e601d222d4ca2e09cf5791be",
+    QSqrt5: "3046ff4871340741878b998631940fdf9cde3fc9b6b084ec51b715a0a30ff3f9",
+    ExactComplex: "7d310e52270ae2b33615b7e75c351134a5eff240d77aaa3187331955fa387c78",
+}
+
+
+@pytest.mark.parametrize("field", [Fraction, QSqrt5, ExactComplex], ids=lambda f: f.__name__)
+def test_faber_polynomial_repr_pinned(field):
+    a = FABER_INPUTS[field]
+    values = [faber_polynomial(n, p, a) for n in (1, 4, 10) for p in (-11, -4, 0, 1, 2, 9)]
+    assert digest(values) == FABER_DIGESTS[field]
+
+
+COMPOSE_DIGEST = "8fe15ca89035fa23883b240ebde67c4dfe29ed2e0ee214abf914a3d428792b1d"
+
+
+def test_golden_compose_repr_pinned():
+    # the witness check's pairing: the Q(sqrt 5) generator series composed
+    # with an ExactComplex disc map
+    w = TruncatedSeries(
+        [ExactComplex(0), *SCHWARZ_SERIES.coeffs[1:], *SCHWARZ_SERIES.coeffs[1:4]], ExactComplex
+    )
+    assert digest(golden_series(11).compose(w)) == COMPOSE_DIGEST
+
+
+COMMAND_DIGESTS = {
+    ("inverse", "--coeffs", ",".join(["0", "1"] + [str(c) for c in INVERSE_UPPER[:18]])):
+        "54dd53309c28b3eedaa5bc73bea8706748947ec77b440d4b42a193589324db22",
+    ("inverse", "--coeffs", "0,1,1/2+1/3*sqrt5,-2/7*i,0,3/5-sqrt5+1/4*i,1/9", "--order", "5"):
+        "ef46dc303249f93ee38c944bc7f1614a96d19592acf9cb5051411412a42be293",
+    ("faber-k", "--n", "9", "--p", "-10", "--coeffs", ",".join(["1"] + [str(c) for c in UPPER[:9]])):
+        "42a83873a7fd2aaa32e2e4da055c7c46d291fad060969fdafa59b097035e568f",
+    ("faber-k", "--n", "4", "--p", "3", "--coeffs", "1,1/2*sqrt5,-1/3+2*i,0,5/7"):
+        "8e938d072c7cb0ade4c530d915fcd31c32950d616961789428b34bce917a0d1f",
+    ("bell", "--n", "9", "--m", "4", "--coeffs", ",".join(str(c) for c in UPPER[:9])):
+        "178191ab0e59357ace2ab68f5ac248b3bf9db76a014a4970bce4857dd1c103d7",
+    ("bell", "--n", "5", "--m", "2", "--coeffs", "1/2,sqrt5,2/3*i,-1,1/4+1/5*sqrt5"):
+        "bae2d7810d08ac1225f8135636824a2ecf41b8b393519f67b86778baeb7bae7d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_DIGESTS), ids=lambda a: a[0])
+def test_command_stdout_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[argv]

@@ -173,6 +173,94 @@ class TestCompose:
             assert (f * g).compose(w) == f.compose(w) * g.compose(w)
 
 
+def rand_field_value(rng, field):
+    if field is Fraction:
+        return rand_fraction(rng)
+    if field is QSqrt5:
+        return QSqrt5(rand_fraction(rng), rand_fraction(rng))
+    return ExactComplex(QSqrt5(rand_fraction(rng), rand_fraction(rng)), rand_fraction(rng))
+
+
+def ring_horner(outer, inner):
+    """outer(inner) by Horner's rule on the field's own objects.
+
+    The k-th partial sum c_k + inner*(c_{k+1} + ...) is kept to order
+    N - k, the most the final order-N result can see.
+    """
+    field = join_field(outer.field, inner.field)
+    n = outer.order
+    c = [field(x) for x in outer.coeffs]
+    w = [field(x) for x in inner.coeffs]
+    acc = [c[n]]
+    for k in range(n - 1, -1, -1):
+        product = []
+        for j in range(1, n - k + 1):
+            total = field(0)
+            for i in range(1, j + 1):
+                total = total + w[i] * acc[j - i]
+            product.append(total)
+        acc = [c[k]] + product
+    return TruncatedSeries(acc, field)
+
+
+FIELDS = (Fraction, QSqrt5, ExactComplex)
+
+
+class TestComposeAgainstRingHorner:
+    @pytest.mark.parametrize("outer_field", FIELDS)
+    @pytest.mark.parametrize("inner_field", FIELDS)
+    def test_field_pairs(self, outer_field, inner_field):
+        rng = random.Random(230 + 3 * FIELDS.index(outer_field) + FIELDS.index(inner_field))
+        complex_pair = ExactComplex in (outer_field, inner_field)
+        orders = (1, 2, 3, 5, 8, 12) if complex_pair else range(1, 21)
+        for order in orders:
+            outer = TruncatedSeries(
+                [rand_field_value(rng, outer_field) for _ in range(order + 1)], outer_field
+            )
+            zero = TruncatedSeries([0] * (order + 1), inner_field)
+            sparse = TruncatedSeries(
+                [0] + [
+                    rand_field_value(rng, inner_field) if rng.random() < 0.3 else 0
+                    for _ in range(order)
+                ],
+                inner_field,
+            )
+            dense = TruncatedSeries(
+                [0] + [rand_field_value(rng, inner_field) for _ in range(order)], inner_field
+            )
+            for inner in (zero, sparse, dense):
+                result = outer.compose(inner)
+                expected = ring_horner(outer, inner)
+                assert result.field is expected.field
+                assert result.coeffs == expected.coeffs
+                assert all(type(c) is expected.field for c in result.coeffs)
+                assert repr(result.coeffs) == repr(expected.coeffs)
+
+    @pytest.mark.parametrize("order", [1, 7, 20])
+    def test_complex_orders_to_20(self, order):
+        # the pairing the witness check uses: a Q(sqrt 5) outer series and an
+        # ExactComplex inner one, both with unrelated denominators
+        rng = random.Random(240 + order)
+        outer = TruncatedSeries([rand_field_value(rng, QSqrt5) for _ in range(order + 1)], QSqrt5)
+        inner = TruncatedSeries(
+            [0] + [
+                rand_field_value(rng, ExactComplex) if rng.random() < 0.7 else 0
+                for _ in range(order)
+            ],
+            ExactComplex,
+        )
+        result = outer.compose(inner)
+        assert result.coeffs == ring_horner(outer, inner).coeffs
+        assert result.field is ExactComplex
+
+    def test_order_zero(self):
+        for field in FIELDS:
+            outer = TruncatedSeries([field(Fraction(3, 4))], field)
+            result = outer.compose(TruncatedSeries([0], Fraction))
+            assert result.coeffs == (field(Fraction(3, 4)),)
+            assert type(result.coeffs[0]) is field
+
+
 class TestRevert:
     def test_geometric_example(self):
         f = NormalizedSeries.from_upper([Fraction(1), Fraction(1), Fraction(1)])
