@@ -20,14 +20,16 @@ P - 1 = t*P*w + t^2*(P + 1)*w^2 order by order in O(N^2) exact
 operations.  The partition-sum form of the same solve (generator
 coefficients against partial Bell polynomials) grows superpolynomially
 with N and serves only as the independent check in the tests.
+
+Only the numeric evaluation `golden_value` uses mpmath, and it imports
+mpmath on its first call: importing this module (or the package, or its
+command line) loads no mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .exact import ExactComplex, QSqrt5
 from .series import TruncatedSeries
@@ -136,8 +138,12 @@ def golden_value(z, precision: int = 128) -> complex:
 
     Works at `precision` bits internally and refuses points whose
     denominator is smaller than 2**(-precision/2), which signals the
-    argument is too close to a pole for the requested precision.
+    argument is too close to a pole for the requested precision.  This
+    is the one routine of the package that needs mpmath, which it
+    imports on its first call.
     """
+    import mpmath
+
     if precision < 53:
         raise ValueError("precision below 53 bits cannot even cover a double")
     if isinstance(z, Fraction):

@@ -2,11 +2,16 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import faberfib
 from faberfib import (
     ABS_TAU,
     TAU,
@@ -182,6 +187,36 @@ class TestNumericEvaluation:
         for i, a in enumerate(values):
             for b in values[i + 1 :]:
                 assert abs(a - b) > 1e-9
+
+
+# run in a fresh interpreter: mpmath stays unloaded until numeric evaluation
+LAZY_MPMATH_SCRIPT = """
+import contextlib, io, sys
+import faberfib, faberfib.cli
+assert "mpmath" not in sys.modules, "import loaded mpmath"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert faberfib.cli.main(["fib", "--count", "5"]) == 0
+    assert faberfib.cli.main(["ptilde-eval", "--z", "1/2 + i"]) == 0
+    assert faberfib.cli.main(["bound", "--theorem", "2", "--gamma", "2+i", "--mu", "1", "--rho", "1"]) == 0
+assert "mpmath" not in sys.modules, "an exact command loaded mpmath"
+faberfib.golden_value(0.1)
+assert "mpmath" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert faberfib.cli.main(["ptilde-eval", "--z", "0.1,0.2"]) == 0
+assert '"mode": "numeric"' in out.getvalue()
+"""
+
+
+class TestLazyMpmath:
+    def test_only_numeric_evaluation_loads_mpmath(self):
+        package_root = str(Path(faberfib.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_MPMATH_SCRIPT],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConstants:
