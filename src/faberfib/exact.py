@@ -687,6 +687,10 @@ def render_scalar(z) -> str:
     raise TypeError(f"cannot render {type(z).__name__}")
 
 
+# deepest parenthesis nesting scalar text may use; the parser recurses a
+# few frames per level, and this keeps it far below Python's recursion limit
+MAX_SCALAR_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(\d+(?:\s*/\s*\d+)?|sqrt5|i\b|[+\-*()])")
 
 
@@ -709,6 +713,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -752,9 +757,15 @@ class _Parser:
     def parse_atom(self) -> ExactComplex:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_SCALAR_NESTING:
+                raise ValueError(
+                    f"scalar text nests parentheses deeper than {MAX_SCALAR_NESTING} levels"
+                )
             value = self.parse_sum()
             if self.take() != ")":
                 raise ValueError("unbalanced parenthesis in scalar text")
+            self.depth -= 1
             return value
         if tok == "sqrt5":
             return ExactComplex(QSqrt5(0, 1))
@@ -771,7 +782,8 @@ def parse_scalar(text: str) -> ExactComplex:
     Accepts rationals ("3/4"), Q(sqrt 5) values ("-1/2 + 1/2*sqrt5",
     "(1/2)+(-1/2)sqrt5"), and complex combinations ("2 + i",
     "1/3 - 2/5*i"); '*' is optional, parentheses group, and the unicode
-    minus sign is accepted.
+    minus sign is accepted.  Parentheses may nest at most
+    `MAX_SCALAR_NESTING` (100) levels deep; deeper text raises ValueError.
     """
     parser = _Parser(_tokenize(text))
     value = parser.parse_sum()

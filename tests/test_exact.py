@@ -19,6 +19,7 @@ from faberfib import (
     render_scalar,
     to_float,
 )
+from faberfib.exact import MAX_SCALAR_NESTING
 
 SQRT5 = QSqrt5(0, 1)
 TAU = QSqrt5(Fraction(1, 2), Fraction(-1, 2))
@@ -494,6 +495,18 @@ class TestGrammar:
         for bad in ("", "1..2", "sqrt7", "1/", "2 +", "(1/2", "1/2)", "i*i*"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
+
+    def test_nesting_budget(self):
+        def nested(depth):
+            return "(" * depth + "1/2 + i" + ")" * depth
+
+        assert parse_scalar(nested(MAX_SCALAR_NESTING)) == ExactComplex(Fraction(1, 2), 1)
+        for depth in (MAX_SCALAR_NESTING + 1, 300):
+            with pytest.raises(ValueError, match="nests parentheses deeper"):
+                parse_scalar(nested(depth))
+        # the budget bounds depth, not the number of groups
+        assert parse_scalar("+".join(["(1)"] * 500)) == ExactComplex(500)
+        assert parse_scalar("(" * 60 + "1" + ")" * 60 + "*" + "(" * 60 + "2" + ")" * 60) == ExactComplex(2)
 
     def test_view_parsers_reject_larger_fields(self):
         with pytest.raises(ValueError):
