@@ -50,6 +50,7 @@ from .golden import (
     fibonacci,
     golden_coefficient,
     golden_coefficient_fibonacci,
+    golden_coefficients,
     golden_series,
     golden_value,
     golden_value_exact,
@@ -99,6 +100,7 @@ __all__ = [
     "UNIVALENCE_RADIUS",
     "fibonacci",
     "golden_coefficient",
+    "golden_coefficients",
     "golden_coefficient_fibonacci",
     "golden_series",
     "golden_value",

@@ -39,8 +39,7 @@ from .exact import (
 )
 from .faber import faber_inverse_coefficients, faber_polynomial, partial_bell
 from .golden import (
-    fibonacci,
-    golden_coefficient,
+    golden_coefficients,
     golden_value,
     golden_value_exact,
     solve_schwarz,
@@ -55,6 +54,9 @@ from .tremblay import (
 )
 
 ENV_PRECISION = "FABERFIB_PRECISION"
+# largest `fib --count`: F_20000 has 4180 digits, within Python's default
+# 4300-digit limit on int-to-text conversion
+MAX_FIB_COUNT = 20000
 
 
 class _UsageError(Exception):
@@ -277,37 +279,36 @@ def _cmd_inverse(args):
 def _cmd_fib(args):
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
-    values = [fibonacci(k) for k in range(args.count + 1)]
+    if args.count > MAX_FIB_COUNT:
+        raise ValueError(f"count must be at most {MAX_FIB_COUNT}, got {args.count}")
+    values = []
+    a, b = 0, 1
+    for _ in range(args.count + 1):
+        values.append(a)
+        a, b = b, a + b
     payload = {"command": "fib", "count": args.count, "values": values}
-    rows = [{"n": k, "value": v} for k, v in enumerate(values)]
+    rows = ({"n": k, "value": v} for k, v in enumerate(values))
     return payload, ["n", "value"], rows
+
 
 def _cmd_ptilde(args):
     if args.order < 1:
         raise ValueError(f"coefficient table needs order >= 1, got {args.order}")
-    table = []
-    for n in range(1, args.order + 1):
-        coeff = golden_coefficient(n)
-        entry = {"n": n}
-        if args.format == "exact":
-            entry["exact"] = render_scalar(coeff)
-        else:
-            entry["float"] = float(coeff)
-        table.append(entry)
+    coeffs = golden_coefficients(args.order)
+    if args.format == "exact":
+        table = [{"n": n, "exact": render_scalar(c)} for n, c in enumerate(coeffs, 1)]
+    else:
+        table = [{"n": n, "float": float(c)} for n, c in enumerate(coeffs, 1)]
     payload = {
         "command": "ptilde",
         "order": args.order,
         "format": args.format,
         "coefficients": table,
     }
-    rows = [
-        {
-            "n": n,
-            "exact": render_scalar(golden_coefficient(n)),
-            "float": repr(float(golden_coefficient(n))),
-        }
-        for n in range(1, args.order + 1)
-    ]
+    rows = (
+        {"n": n, "exact": render_scalar(c), "float": repr(float(c))}
+        for n, c in enumerate(coeffs, 1)
+    )
     return payload, ["n", "exact", "float"], rows
 
 
@@ -588,19 +589,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, columns, rows = args.handler(args)
+        if args.output == "csv":
+            if columns is None:
+                raise _UsageError(f"no csv form for subcommand {args.subcommand!r}")
+            text = _emit_csv(columns, rows)
+        else:
+            text = json.dumps(payload, indent=2) + "\n"
     except _UsageError as exc:
         _report_error("UsageError", str(exc))
         return 2
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         _report_error(type(exc).__name__, str(exc))
         return 3
-    if args.output == "csv":
-        if columns is None:
-            _report_error("UsageError", f"no csv form for subcommand {args.subcommand!r}")
-            return 2
-        sys.stdout.write(_emit_csv(columns, rows))
-    else:
-        print(json.dumps(payload, indent=2))
+    sys.stdout.write(text)
     return 0
 
 

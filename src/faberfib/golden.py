@@ -41,6 +41,7 @@ __all__ = [
     "UNIVALENCE_RADIUS",
     "fibonacci",
     "golden_coefficient",
+    "golden_coefficients",
     "golden_coefficient_fibonacci",
     "golden_series",
     "golden_value_exact",
@@ -67,16 +68,26 @@ def fibonacci(n: int) -> int:
     return a
 
 
+def golden_coefficients(order: int) -> list[QSqrt5]:
+    """Taylor coefficients p_1 .. p_order of the generator, by the two-term recursion.
+
+    p_1 = t, p_2 = 3 t^2 and p_n = t p_(n-1) + t^2 p_(n-2): one pass of
+    O(order) exact operations.
+    """
+    if order < 1:
+        raise ValueError(f"coefficient order must be at least 1, got {order}")
+    tau_sq = TAU * TAU
+    coeffs = [TAU, 3 * tau_sq][:order]
+    while len(coeffs) < order:
+        coeffs.append(TAU * coeffs[-1] + tau_sq * coeffs[-2])
+    return coeffs
+
+
 def golden_coefficient(n: int) -> QSqrt5:
     """Taylor coefficient of z^n of the generator, by the two-term recursion."""
     if n < 1:
         raise ValueError(f"coefficient index must be at least 1, got {n}")
-    if n == 1:
-        return TAU
-    prev, cur = TAU, 3 * TAU * TAU
-    for _ in range(n - 2):
-        prev, cur = cur, TAU * cur + TAU * TAU * prev
-    return cur
+    return golden_coefficients(n)[-1]
 
 
 def golden_coefficient_fibonacci(n: int) -> QSqrt5:

@@ -11,7 +11,8 @@ import pytest
 
 import faberfib
 from faberfib import ABS_TAU, parse_qsqrt5, parse_scalar
-from faberfib.cli import main
+from faberfib.cli import MAX_FIB_COUNT, main
+from faberfib.exact import MAX_SCALAR_NESTING
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -292,6 +293,52 @@ class TestExitCodes:
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400,0", "0,nan", "nanj"])
     def test_nonfinite_point_is_usage_error(self, capsys, point):
         assert "not finite" in run_usage_error(capsys, "ptilde-eval", f"--z={point}")["message"]
+
+
+def nested(depth, body="1/2"):
+    return "(" * depth + body + ")" * depth
+
+
+class TestBudgets:
+    def test_scalar_nesting_at_budget_parses(self, capsys):
+        payload = run_json(capsys, "revert", "--coeffs", f"0,1,{nested(MAX_SCALAR_NESTING)}")
+        assert payload["coefficients"] == ["0", "1", "-1/2"]
+
+    @pytest.mark.parametrize("depth", [MAX_SCALAR_NESTING + 1, 300])
+    def test_scalar_nesting_past_budget_is_usage_error(self, capsys, depth):
+        error = run_usage_error(capsys, "revert", "--coeffs", f"0,1,{nested(depth)}")
+        assert "nests parentheses deeper" in error["message"]
+        run_usage_error(
+            capsys, "class-lhs", "--coeffs", "0,1,0",
+            "--gamma", nested(depth), "--mu", "1", "--rho", "1",
+        )
+        run_usage_error(capsys, "ptilde-eval", "--z", nested(depth))
+
+    def test_fib_count_budget(self, capsys):
+        code, out, err = run_cli(capsys, "fib", "--count", str(MAX_FIB_COUNT + 1))
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert str(MAX_FIB_COUNT) in error["message"]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
+    )
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_unrenderable_output_is_domain_error(self, capsys, output):
+        # F_3100 has 648 digits, past a 640-digit int-to-text limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "fib", "--count", "3100", "--output", output)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "digits" in error["message"]
 
 
 class TestPrecisionEnv:

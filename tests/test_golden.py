@@ -26,6 +26,7 @@ from faberfib import (
     fibonacci,
     golden_coefficient,
     golden_coefficient_fibonacci,
+    golden_coefficients,
     golden_series,
     golden_value,
     golden_value_exact,
@@ -69,6 +70,14 @@ class TestGoldenCoefficients:
     def test_recursion_matches_fibonacci_form(self):
         for n in range(1, 51):
             assert golden_coefficient(n) == golden_coefficient_fibonacci(n)
+
+    def test_table_in_one_pass(self):
+        table = golden_coefficients(50)
+        assert table == [golden_coefficient_fibonacci(n) for n in range(1, 51)]
+        assert golden_coefficients(1) == [TAU]
+        assert golden_coefficients(2) == [TAU, 3 * TAU_SQ]
+        with pytest.raises(ValueError):
+            golden_coefficients(0)
 
     def test_recursion_matches_series_division(self):
         series = golden_series(50)
