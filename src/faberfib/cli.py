@@ -506,7 +506,8 @@ def _build_parser(default_precision: int) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_inverse)
 
     p = sub.add_parser("fib", parents=[common], help="Fibonacci numbers F_0..F_count")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True,
+                   help=f"largest index, at most {MAX_FIB_COUNT}")
     p.set_defaults(handler=_cmd_fib)
 
     p = sub.add_parser("ptilde", parents=[common], help="generator Taylor coefficients")
