@@ -222,5 +222,6 @@ def test_output_bytes_unchanged(entry):
 
 
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps([record(argv, env) for argv, env in CASES], indent=1) + "\n")
+    entries = [json.dumps(record(argv, env)) for argv, env in CASES]
+    CORPUS.write_text("[\n" + ",\n".join(entries) + "\n]\n")
     print(f"wrote {len(CASES)} cases to {CORPUS}", file=sys.stderr)
