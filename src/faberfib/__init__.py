@@ -11,10 +11,8 @@ coefficient bounds with certified float renderings.
 
 from .bounds import (
     DEFAULT_PRECISION,
-    MAX_PRECISION,
     BoundReport,
     BranchReport,
-    PrecisionLimitError,
     bound_a2,
     bound_a3,
     bound_theorem1,
@@ -25,7 +23,6 @@ from .exact import (
     Interval,
     IntervalStraddleError,
     QSqrt5,
-    Rational,
     fraction_sqrt,
     parse_qsqrt5,
     parse_rational,
@@ -38,7 +35,6 @@ from .exact import (
 from .faber import (
     faber_inverse_coefficients,
     faber_polynomial,
-    gap_inverse_coefficient,
     partial_bell,
 )
 from .golden import (
@@ -74,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
     "QSqrt5",
     "ExactComplex",
     "Interval",
@@ -93,7 +88,6 @@ __all__ = [
     "partial_bell",
     "faber_polynomial",
     "faber_inverse_coefficients",
-    "gap_inverse_coefficient",
     "TAU",
     "ABS_TAU",
     "SQRT5",
@@ -117,7 +111,6 @@ __all__ = [
     "membership_witness",
     "CONSISTENT",
     "VIOLATED",
-    "PrecisionLimitError",
     "BoundReport",
     "BranchReport",
     "bound_theorem1",
@@ -125,5 +118,4 @@ __all__ = [
     "bound_a3",
     "corollary_check",
     "DEFAULT_PRECISION",
-    "MAX_PRECISION",
 ]

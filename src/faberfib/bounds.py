@@ -1,13 +1,13 @@
 """Coefficient bounds for the subordination class, evaluated exactly.
 
 Every bound is a nonnegative real built from |gamma|, |tau| and
-Pochhammer quotients.  Whenever the bound, or at least its square, lies
-in Q(sqrt 5), it is carried exactly and branch comparisons are decided
-by exact sign tests.  Otherwise (complex gamma of non-rational modulus,
-or a complex branch discriminant) the value is enclosed in dyadic
-intervals, starting at the requested precision and doubling up to 1024
-bits; an enclosure tie at the ceiling raises `PrecisionLimitError`
-rather than guessing.
+Pochhammer quotients.  Which branch of a two-branch bound is the
+smaller, and the sign of the third-coefficient bracket, are decided
+exactly: each is the sign of a + b*sqrt(A) + c*sqrt(B) with every term
+in Q(sqrt 5), settled by squaring in the field.  A value that, or whose
+square, lies in Q(sqrt 5) is carried exactly; any other (complex gamma
+of non-rational modulus, or a complex branch discriminant) is enclosed
+in dyadic intervals at the requested precision for its float.
 
 The two-branch bounds report both branch values and which one is the
 minimum.  The bracket of the second third-coefficient branch can have a
@@ -24,8 +24,8 @@ from fractions import Fraction
 from .exact import (
     ExactComplex,
     Interval,
-    IntervalStraddleError,
     QSqrt5,
+    _enclosure_float,
     fraction_sqrt,
     render_qsqrt5,
 )
@@ -33,7 +33,6 @@ from .golden import ABS_TAU, TAU
 from .tremblay import OperatorParams, rising_ratio
 
 __all__ = [
-    "PrecisionLimitError",
     "BranchReport",
     "BoundReport",
     "bound_theorem1",
@@ -41,28 +40,30 @@ __all__ = [
     "bound_a3",
     "corollary_check",
     "DEFAULT_PRECISION",
-    "MAX_PRECISION",
 ]
 
 DEFAULT_PRECISION = 128
-MAX_PRECISION = 1024
 
 _TAU_SQ = TAU * TAU
+_ZERO = QSqrt5(0)
 
 
-class PrecisionLimitError(ArithmeticError):
-    """A branch comparison stayed undecided at the precision ceiling."""
+def _sign(a: QSqrt5, b: QSqrt5, big_a: QSqrt5, c: QSqrt5 = _ZERO, big_b: QSqrt5 = _ZERO) -> int:
+    """Exact sign of a + b*sqrt(big_a) + c*sqrt(big_b), for big_a, big_b >= 0.
 
-
-def _interval_float(iv: Interval):
-    """Midpoint float of an enclosure plus an error bound covering it."""
-    mid = iv.mid
-    value = float(mid)
-    err = iv.width / 2 + abs(mid) * Fraction(1, 1 << 52)
-    error = float(err * (1 + Fraction(1, 1 << 40)))
-    if error == 0.0 and err > 0:
-        error = math.ulp(0.0)
-    return value, error
+    When two parts have opposite signs the larger magnitude decides, and
+    comparing their squares leaves an expression with one root fewer.
+    """
+    if c and big_b:
+        head, tail = _sign(a, b, big_a), c.sign()
+        if head * tail < 0:
+            # (a + b*sqrt(big_a))**2 - c**2*big_b
+            return head * _sign(a * a + b * b * big_a - c * c * big_b, 2 * a * b, big_a)
+        return head or tail
+    head, tail = a.sign(), (b.sign() if big_a else 0)
+    if head * tail < 0:
+        return head * (a * a - b * b * big_a).sign()
+    return head or tail
 
 
 class _BoundValue:
@@ -75,12 +76,8 @@ class _BoundValue:
 
     def __init__(self, direct: QSqrt5 | None = None, square: QSqrt5 | None = None, fn=None):
         self.direct = direct
-        self.square = square if direct is None else direct * direct
+        self.square = square
         self.fn = fn
-
-    @property
-    def is_exact(self) -> bool:
-        return self.square is not None
 
     def interval(self, bits: int) -> Interval:
         if self.direct is not None:
@@ -95,24 +92,6 @@ class _BoundValue:
         if self.square is not None:
             return f"sqrt({render_qsqrt5(self.square)})"
         return None
-
-    def compare(self, other: "_BoundValue", precision: int):
-        """-1, 0 or +1 ordering of two nonnegative bounds, exact when possible."""
-        if self.is_exact and other.is_exact:
-            return (self.square - other.square).sign()
-        bits = precision
-        ceiling = max(MAX_PRECISION, precision)
-        while bits <= ceiling:
-            try:
-                verdict = self.interval(bits).compare(other.interval(bits))
-            except IntervalStraddleError:
-                verdict = None
-            if verdict is not None:
-                return verdict
-            bits *= 2
-        raise PrecisionLimitError(
-            f"branch comparison undecided at {ceiling} bits; values may coincide"
-        )
 
 
 @dataclass(frozen=True)
@@ -133,9 +112,9 @@ class BoundReport:
     `exact` is the exact carrier as text when one exists ("p/q + r/s*sqrt5"
     or "sqrt(...)").  For two-branch bounds `branch` names the minimum
     ("first", "second" or "tie") and `branches` carries both candidates.
-    `second_bracket_negative` reports the sign of the second
-    third-coefficient branch's bracket numerator (None when it is not
-    applicable or undecidable at the precision ceiling).
+    `second_bracket_negative` reports whether the second
+    third-coefficient branch's bracket numerator is negative (False when
+    it is zero; None for the bounds that have no bracket).
     """
 
     kind: str
@@ -174,7 +153,7 @@ def _numerator_params(op: OperatorParams):
 
 
 def _branch_report(label: str, value: _BoundValue, precision: int) -> BranchReport:
-    flt, err = _interval_float(value.interval(precision))
+    flt, err = _enclosure_float(value.interval(precision))
     return BranchReport(label=label, value=flt, error=err, exact=value.render_exact())
 
 
@@ -184,29 +163,25 @@ def _minimum_report(
     op: OperatorParams,
     first: _BoundValue,
     second: _BoundValue,
+    ordering: int,
     precision: int,
     bracket_flag: bool | None = None,
 ) -> BoundReport:
-    ordering = first.compare(second, precision)
-    if ordering < 0:
-        chosen, branch = first, "first"
-    elif ordering > 0:
-        chosen, branch = second, "second"
-    else:
-        chosen, branch = first, "tie"
-    value, error = _interval_float(chosen.interval(precision))
+    """The report of a two-branch bound; `ordering` is the sign of first - second."""
+    branches = (
+        _branch_report("first", first, precision),
+        _branch_report("second", second, precision),
+    )
+    chosen = branches[1] if ordering > 0 else branches[0]
     return BoundReport(
         kind=kind,
         gamma=gamma,
         op=op,
-        value=value,
-        error=error,
-        exact=chosen.render_exact(),
-        branch=branch,
-        branches=(
-            _branch_report("first", first, precision),
-            _branch_report("second", second, precision),
-        ),
+        value=chosen.value,
+        error=chosen.error,
+        exact=chosen.exact,
+        branch=("first", "tie", "second")[ordering + 1],
+        branches=branches,
         second_bracket_negative=bracket_flag,
     )
 
@@ -230,7 +205,7 @@ def bound_theorem1(
         value = _BoundValue(direct=abs_gamma * ratio * ABS_TAU)
     else:
         value = _BoundValue(square=g.abs_squared() * ratio * ratio * _TAU_SQ)
-    flt, err = _interval_float(value.interval(precision))
+    flt, err = _enclosure_float(value.interval(precision))
     return BoundReport(
         kind="general-coefficient",
         gamma=g,
@@ -247,21 +222,23 @@ def bound_a2(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
 
     First branch |gamma| |tau| / sqrt(|gamma P - 3Q| |tau| + Q), second
     branch |tau| sqrt(3 |gamma| / P), with P and Q the rational
-    aggregates of the operator orders.  The first branch is exact
-    whenever gamma P - 3Q is real, the second whenever |gamma| is
-    rational; any other case runs on interval enclosures.
+    aggregates of the operator orders.  The first branch is carried
+    exactly whenever gamma P - 3Q is real, the second whenever |gamma|
+    is rational; any other branch value is enclosed in intervals.  The
+    first branch is the smaller exactly when
+    P |gamma| - 3 |tau| |gamma P - 3Q| - 3Q is negative.
     """
     g = _coerce_gamma(gamma)
     big_p, big_q = _numerator_params(op)
     g2 = g.abs_squared()
     abs_gamma = _exact_abs(g)
     disc = g * big_p - ExactComplex(3 * big_q)
+    disc_sq = disc.abs_squared()
 
     if disc.is_real:
         denom = abs(disc.real) * ABS_TAU + big_q
         first = _BoundValue(square=g2 * _TAU_SQ / denom)
     else:
-        disc_sq = disc.abs_squared()
 
         def first_fn(bits: int, _dsq=disc_sq, _g2=g2) -> Interval:
             abs_disc = Interval.from_qsqrt5(_dsq, bits).sqrt(bits)
@@ -281,7 +258,8 @@ def bound_a2(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
 
         second = _BoundValue(fn=second_fn)
 
-    return _minimum_report("second-coefficient", g, op, first, second, precision)
+    ordering = _sign(QSqrt5(-3 * big_q), QSqrt5(big_p), g2, -3 * ABS_TAU, disc_sq)
+    return _minimum_report("second-coefficient", g, op, first, second, ordering, precision)
 
 
 def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> BoundReport:
@@ -292,13 +270,15 @@ def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
     The bracket numerator of the second branch may be negative (small
     |gamma|); its sign is reported, and the bracket itself is provably
     at least Q - Q = 0 away from pushing the branch negative, so no
-    clamping is applied.
+    clamping is applied.  The first branch is the smaller exactly when
+    (3 |tau| - 1) |gamma P - 3Q| + 3Q - P |gamma| is negative.
     """
     g = _coerce_gamma(gamma)
     big_p, big_q = _numerator_params(op)
     g2 = g.abs_squared()
     abs_gamma = _exact_abs(g)
     disc = g * big_p - ExactComplex(3 * big_q)
+    disc_sq = disc.abs_squared()
 
     first_scale = _TAU_SQ * 3 / big_p
     if abs_gamma is not None:
@@ -306,15 +286,12 @@ def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
     else:
         first = _BoundValue(square=g2 * first_scale * first_scale)
 
-    bracket_flag: bool | None
     if abs_gamma is not None and disc.is_real:
         numer = big_p * abs_gamma * ABS_TAU - big_q
         denom = abs(disc.real) * ABS_TAU + big_q
         value = (abs_gamma * ABS_TAU / big_p) * (1 + numer / denom)
         second = _BoundValue(direct=value)
-        bracket_flag = numer.sign() < 0
     else:
-        disc_sq = disc.abs_squared()
 
         def second_fn(bits: int, _dsq=disc_sq, _g2=g2) -> Interval:
             abs_g = Interval.from_qsqrt5(_g2, bits).sqrt(bits)
@@ -327,27 +304,12 @@ def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
             return scale * (one + numer_iv / denom_iv)
 
         second = _BoundValue(fn=second_fn)
-        bracket_flag = None
-        bits = precision
-        while bits <= max(MAX_PRECISION, precision):
-            abs_g = Interval.from_qsqrt5(g2, bits).sqrt(bits)
-            numer_iv = (
-                Interval.point(big_p) * abs_g * Interval.from_qsqrt5(ABS_TAU, bits)
-                - Interval.point(big_q)
-            )
-            sign = numer_iv.sign()
-            if sign is not None:
-                bracket_flag = sign < 0
-                break
-            bits *= 2
 
+    ordering = _sign(QSqrt5(3 * big_q), QSqrt5(-big_p), g2, 3 * ABS_TAU - 1, disc_sq)
+    bracket_negative = _sign(QSqrt5(-big_q), big_p * ABS_TAU, g2) < 0
     return _minimum_report(
-        "third-coefficient", g, op, first, second, precision, bracket_flag=bracket_flag
+        "third-coefficient", g, op, first, second, ordering, precision, bracket_negative
     )
-
-
-def _float_gamma(g: ExactComplex) -> complex:
-    return complex(g)
 
 
 def corollary_check(which: int, grid=None, precision: int = DEFAULT_PRECISION):
@@ -403,13 +365,13 @@ def corollary_check(which: int, grid=None, precision: int = DEFAULT_PRECISION):
             g = ExactComplex(1)
         if which in (1, 2):
             report = bound_theorem1(n, g, op, precision)
-            expected = abs(_float_gamma(g)) * t / n
+            expected = abs(complex(g)) * t / n
             add_row("a_n", g, n, expected, report.value, report.error)
         else:
             if any(g == s for s in seen_gammas):
                 continue
             seen_gammas.append(g)
-            gf = _float_gamma(g)
+            gf = complex(g)
             ag = abs(gf)
             ad = 3 * abs(gf - 4)  # equals |gamma P - 3Q| at mu = rho = 1
             expected_a2 = min(

@@ -5,9 +5,8 @@ for the tabular commands when --output csv is given) and is
 byte-deterministic for fixed inputs.  Exit codes: 0 on success, 2 for
 usage errors (argparse's own convention: bad flags, unreadable or
 non-finite arguments, csv on a non-tabular subcommand), 3 for domain
-errors such as a pole, a zero weight, or an undecidable branch
-comparison; every error prints a structured JSON object on stderr and
-nothing on stdout.
+errors such as a pole, a zero weight, or an index out of range; every
+error prints a structured JSON object on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -118,16 +117,16 @@ def _arg_point(text: str):
         return "exact", parse_scalar(text)
     except ZeroDivisionError as exc:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
-    except ValueError:
-        pass
+    except ValueError as exc:
+        exact_error = exc
     try:
         if "," in text:
             re_part, im_part = text.split(",", 1)
             point = complex(float(re_part), float(im_part))
         else:
             point = complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot read evaluation point {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(str(exact_error)) from exact_error
     if not cmath.isfinite(point):
         raise argparse.ArgumentTypeError(f"evaluation point {text!r} is not finite")
     return "numeric", point

@@ -30,10 +30,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QSqrt5",
     "ExactComplex",
     "Interval",
@@ -248,6 +245,13 @@ class QSqrt5:
         return self.rational_part
 
     def __float__(self):
+        """The double nearest the midpoint of an enclosure of relative width 2**-60.
+
+        In the normal double range, |float(x) - x| <= |x|*(2**-53 + 2**-61)/(1 - 2**-61):
+        the midpoint m of an enclosure no wider than |m|*2**-60 lies within
+        |m|*2**-61 of x, rounding m moves it by at most |m|*2**-53, and
+        |m| <= |x|/(1 - 2**-61).  A rational x is rounded once, within |x|*2**-53.
+        """
         if self._b == 0:
             return self._a / self._d
         if self.sign() == 0:
@@ -571,24 +575,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def compare(self, other: "Interval"):
-        """-1/0-as-None/+1 three-way comparison; None when enclosures overlap."""
-        if self.hi < other.lo:
-            return -1
-        if self.lo > other.hi:
-            return 1
-        return None
-
-    def sign(self):
-        """Sign of the enclosed value, or None if the enclosure straddles zero."""
-        if self.hi < 0:
-            return -1
-        if self.lo > 0:
-            return 1
-        if self.lo == 0 and self.hi == 0:
-            return 0
-        return None
-
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -610,7 +596,11 @@ def to_float(x, precision: int = 128):
         x = QSqrt5(x)
     if not isinstance(x, QSqrt5):
         raise TypeError(f"cannot convert {type(x).__name__} to float with error bound")
-    iv = Interval.from_qsqrt5(x, precision)
+    return _enclosure_float(Interval.from_qsqrt5(x, precision))
+
+
+def _enclosure_float(iv: Interval):
+    """The midpoint float of an enclosure and an error bound covering all of it."""
     mid = iv.mid
     value = float(mid)
     # enclosure halfwidth, plus double-rounding slack for float(mid), padded

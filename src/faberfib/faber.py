@@ -29,7 +29,6 @@ __all__ = [
     "partial_bell",
     "faber_polynomial",
     "faber_inverse_coefficients",
-    "gap_inverse_coefficient",
 ]
 
 
@@ -164,10 +163,3 @@ def faber_inverse_coefficients(f: TruncatedSeries) -> NormalizedSeries:
     for n in range(2, f.order + 1):
         out.append(Fraction(1, n) * _power_coefficient(h, -n, n - 1, f.field))
     return NormalizedSeries(out, f.field)
-
-
-def gap_inverse_coefficient(n: int, a_n):
-    """For f = z + a_n z^n (all middle coefficients zero), the inverse has b_n = -a_n."""
-    if n < 2:
-        raise ValueError(f"gap relation applies from the quadratic coefficient on, got {n}")
-    return -a_n

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from faberfib import (
@@ -11,7 +12,6 @@ from faberfib import (
     ExactComplex,
     Interval,
     OperatorParams,
-    PrecisionLimitError,
     QSqrt5,
     bound_a2,
     bound_a3,
@@ -20,7 +20,7 @@ from faberfib import (
     parse_qsqrt5,
     rising_ratio,
 )
-from faberfib.bounds import _BoundValue
+from faberfib.bounds import _sign
 
 T = (math.sqrt(5) - 1) / 2
 OP11 = OperatorParams(Fraction(1), Fraction(1))
@@ -207,25 +207,135 @@ class TestBoundA3:
         assert abs(report.value - min(first_f, second_f)) <= report.error + 1e-12
 
 
-class TestBoundValueComparison:
-    def test_equal_values_by_different_routes_hit_the_ceiling(self):
-        # sqrt(2)*sqrt(3) and sqrt(6) coincide, so interval refinement never separates them
-        def product_fn(bits: int) -> Interval:
-            return Interval.point(Fraction(2)).sqrt(bits) * Interval.point(Fraction(3)).sqrt(bits)
+ONE = QSqrt5(1)
 
-        product = _BoundValue(fn=product_fn)
-        six = _BoundValue(square=QSqrt5(6))
-        with pytest.raises(PrecisionLimitError):
-            product.compare(six, 64)
+
+class TestExactSign:
+    def test_equal_values_by_different_routes_tie(self):
+        # sqrt(2)*sqrt(3) against sqrt(6): no enclosure could ever separate them
+        assert _sign(QSqrt5(0), ONE, QSqrt5(2) * 3, -ONE, QSqrt5(6)) == 0
+        # 1 + sqrt5 = sqrt(6 + 2 sqrt5), and sqrt(6 + 2 sqrt5) - sqrt(6 - 2 sqrt5) = 2
+        assert _sign(QSqrt5(1, 1), -ONE, QSqrt5(6, 2)) == 0
+        assert _sign(QSqrt5(-2), ONE, QSqrt5(6, 2), -ONE, QSqrt5(6, -2)) == 0
 
     def test_distinct_values_decided(self):
-        def near_fn(bits: int) -> Interval:
-            return Interval.point(Fraction(6000001, 1000000)).sqrt(bits)
+        near = QSqrt5(Fraction(6000001, 1000000))
+        assert _sign(QSqrt5(0), ONE, near, -ONE, QSqrt5(6)) == 1
+        assert _sign(QSqrt5(0), -ONE, near, ONE, QSqrt5(6)) == -1
 
-        near = _BoundValue(fn=near_fn)
-        six = _BoundValue(square=QSqrt5(6))
-        assert near.compare(six, 64) == 1
-        assert six.compare(near, 64) == -1
+    def test_random_terms_against_mpmath(self):
+        rng = random.Random(608)
+
+        def rand_q5():
+            return QSqrt5(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            )
+
+        with mpmath.workdps(60):
+            def mp(x):
+                return mpmath.mpf(x.rational_part.numerator) / x.rational_part.denominator + (
+                    mpmath.mpf(x.radical_part.numerator) / x.radical_part.denominator
+                ) * mpmath.sqrt(5)
+
+            for _ in range(400):
+                a, b, c = rand_q5(), rand_q5(), rand_q5()
+                big_a, big_b = abs(rand_q5()), abs(rand_q5())
+                value = mp(a) + mp(b) * mpmath.sqrt(mp(big_a)) + mp(c) * mpmath.sqrt(mp(big_b))
+                if abs(value) > mpmath.mpf(10) ** -40:
+                    assert _sign(a, b, big_a, c, big_b) == (1 if value > 0 else -1)
+
+
+def aggregates(op):
+    mu, rho = op.mu, op.rho
+    return 3 * (mu + 1) * (mu + 2) / ((rho + 1) * (rho + 2)), 4 * (mu + 1) ** 2 / (rho + 1) ** 2
+
+
+def interval_decisions(g, op, precision):
+    """(a2 branch, a3 branch, a3 bracket negative) from interval enclosures.
+
+    The precision doubles from `precision` to 1024 bits; a decision the
+    enclosures never settle stays None.
+    """
+    big_p, big_q = aggregates(op)
+    g2 = g.abs_squared()
+    d2 = (g * big_p - 3 * big_q).abs_squared()
+    decisions = [None, None, None]
+    bits = precision
+    while bits <= max(1024, precision) and None in decisions:
+        abs_g = Interval.from_qsqrt5(g2, bits).sqrt(bits)
+        abs_d = Interval.from_qsqrt5(d2, bits).sqrt(bits)
+        t = Interval.from_qsqrt5(ABS_TAU, bits)
+        p, q = Interval.point(big_p), Interval.point(big_q)
+        denom = abs_d * t + q
+        numer = p * abs_g * t - q
+        pairs = (
+            ((Interval.from_qsqrt5(g2, bits) * t * t / denom).sqrt(bits),
+             (Interval.point(3) * abs_g / p).sqrt(bits) * t),
+            (Interval.point(3) * abs_g * t * t / p,
+             abs_g * t / p * (Interval.point(1) + numer / denom)),
+        )
+        for k, (first, second) in enumerate(pairs):
+            if decisions[k] is None and first.hi < second.lo:
+                decisions[k] = "first"
+            elif decisions[k] is None and first.lo > second.hi:
+                decisions[k] = "second"
+        if decisions[2] is None and (numer.hi < 0 or numer.lo > 0):
+            decisions[2] = numer.hi < 0
+        bits *= 2
+    return decisions
+
+
+OPS = [OperatorParams(mu, rho) for mu, rho in (
+    (Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 4)),
+    (Fraction(7, 8), Fraction(2, 5)), (Fraction(3), Fraction(1, 3)),
+)]
+
+
+def rand_weight(rng, kind):
+    def part():
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        if "Q(sqrt5)" in kind:
+            return QSqrt5(q, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        return q
+
+    while True:
+        g = ExactComplex(part(), part() if kind.startswith("complex") else 0)
+        if g:
+            return g
+
+
+class TestExactDecisionsAgainstIntervals:
+    @pytest.mark.parametrize("kind", ["rational", "real Q(sqrt5)", "complex rational",
+                                      "complex Q(sqrt5)"])
+    def test_branch_and_bracket_agree(self, kind):
+        rng = random.Random(609)
+        for op in OPS:
+            for _ in range(10):
+                g = rand_weight(rng, kind)
+                for precision in (53, 128, 256):
+                    a2_branch, a3_branch, negative = interval_decisions(g, op, precision)
+                    assert None not in (a2_branch, a3_branch, negative)
+                    assert bound_a2(g, op, precision).branch == a2_branch
+                    a3 = bound_a3(g, op, precision)
+                    assert a3.branch == a3_branch
+                    assert a3.second_bracket_negative is negative
+
+    def test_zero_bracket_is_not_negative(self):
+        for op in OPS:
+            big_p, big_q = aggregates(op)
+            modulus = big_q / (big_p * ABS_TAU)  # P |gamma| |tau| = Q
+            rotation = ExactComplex(Fraction(3, 5), Fraction(4, 5))
+            for g in (ExactComplex(modulus), modulus * rotation):
+                assert interval_decisions(g, op, 128)[2] is None
+                assert bound_a3(g, op).second_bracket_negative is False
+
+    def test_vanishing_discriminant_ties_both_bounds(self):
+        for op in OPS:
+            big_p, big_q = aggregates(op)
+            g = 3 * big_q / big_p  # gamma P - 3Q = 0
+            assert bound_a2(g, op).branch == "tie"
+            assert bound_a3(g, op).branch == "tie"
 
 
 class TestCorollaryCheck:

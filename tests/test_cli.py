@@ -312,7 +312,9 @@ class TestBudgets:
             capsys, "class-lhs", "--coeffs", "0,1,0",
             "--gamma", nested(depth), "--mu", "1", "--rho", "1",
         )
-        run_usage_error(capsys, "ptilde-eval", "--z", nested(depth))
+        error = run_usage_error(capsys, "ptilde-eval", "--z", nested(depth))
+        assert f"nests parentheses deeper than {MAX_SCALAR_NESTING} levels" in error["message"]
+        assert nested(depth) not in error["message"]
 
     def test_fib_count_budget(self, capsys):
         code, out, err = run_cli(capsys, "fib", "--count", str(MAX_FIB_COUNT + 1))

@@ -14,7 +14,8 @@ A change that means to alter output regenerates the corpus with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and says which entries changed and why.
+and says which entries changed and why; the script prints each new,
+changed or removed entry before it writes the file.
 """
 
 import hashlib
@@ -147,6 +148,9 @@ CASES = [
     (["bound", "--theorem", "2", "--which", "a2", "--gamma", "1+i", "--mu", "1", "--rho", "1"], None),
     (["bound", "--theorem", "2", "--which", "a3", "--gamma", "sqrt5", *BOUND_PARAMS,
       "--output", "csv"], None),
+    # the second a3 branch's bracket numerator is exactly zero here
+    (["bound", "--theorem", "2", "--which", "a3", "--gamma", "2/3 + 2/3*sqrt5",
+      "--mu", "1", "--rho", "1"], None),
     (["bound", "--theorem", "2", "--gamma", "3/5 + 4/5*i", *BOUND_PARAMS,
       "--precision", "256"], None),
     (["bound", "--theorem", "2", "--gamma", "1/10", "--mu", "1", "--rho", "1"], "64"),
@@ -193,6 +197,11 @@ def record(argv, env_precision) -> dict:
     }
 
 
+def label(entry) -> str:
+    env = entry["env_precision"]
+    return " ".join(entry["argv"]) + (f" [env {env}]" if env else "")
+
+
 def load_corpus() -> list:
     """The recorded entries; none before the first recording."""
     return json.loads(CORPUS.read_text()) if CORPUS.exists() else []
@@ -215,13 +224,23 @@ def test_corpus_covers_every_subcommand():
 @pytest.mark.parametrize(
     "entry",
     load_corpus(),
-    ids=lambda e: " ".join(e["argv"]) + (f" [env {e['env_precision']}]" if e["env_precision"] else ""),
+    ids=label,
 )
 def test_output_bytes_unchanged(entry):
     assert record(entry["argv"], entry["env_precision"]) == entry
 
 
 if __name__ == "__main__":
-    entries = [json.dumps(record(argv, env)) for argv, env in CASES]
-    CORPUS.write_text("[\n" + ",\n".join(entries) + "\n]\n")
+    before = {label(entry): entry for entry in load_corpus()}
+    entries = [record(argv, env) for argv, env in CASES]
+    for entry in entries:
+        old = before.pop(label(entry), None)
+        if old is None:
+            print(f"new: {label(entry)}", file=sys.stderr)
+        elif old != entry:
+            fields = [key for key in ("exit", "stdout_sha256", "stderr_sha256") if old[key] != entry[key]]
+            print(f"changed ({', '.join(fields)}): {label(entry)}", file=sys.stderr)
+    for name in before:
+        print(f"removed: {name}", file=sys.stderr)
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n")
     print(f"wrote {len(CASES)} cases to {CORPUS}", file=sys.stderr)

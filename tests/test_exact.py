@@ -407,12 +407,15 @@ class TestToFloat:
         assert abs(value - complex(1 / 3, (1 - math.sqrt(5)) / 2)) <= error + 1e-15
 
     def test_adaptive_dunder_float_survives_cancellation(self):
-        # tau**60 has huge components but tiny value; naive float(a) + float(b)*sqrt5 would shred it
-        x = TAU**60
-        assert abs(x.rational_part) > 10**11
-        with mpmath.workdps(80):
-            true = ((1 - mpmath.sqrt(5)) / 2) ** 60
-            assert abs(mpmath.mpf(float(x)) - true) <= abs(true) * mpmath.mpf(2) ** -50
+        # tau**n has huge components but tiny value; naive float(a) + float(b)*sqrt5 would shred it
+        assert abs((TAU**60).rational_part) > 10**11
+        # the documented bound, checked exactly in Q(sqrt 5)
+        slack = (Fraction(1, 1 << 53) + Fraction(1, 1 << 61)) / (1 - Fraction(1, 1 << 61))
+        rng = random.Random(113)
+        values = [scale * TAU**n for n in (1, 2, 17, 60, 200, 701, 1000) for scale in (1, -1, 3)]
+        values += [rand_qsqrt5(rng) for _ in range(100)] + [QSqrt5(Fraction(1, 3)), QSqrt5(0, 7)]
+        for x in values:
+            assert abs(QSqrt5(Fraction(float(x))) - x) <= abs(x) * slack
 
 
 class TestInterval:
