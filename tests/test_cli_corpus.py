@@ -5,7 +5,9 @@ and the sha256 of its stdout and of its stderr in `cli_corpus.json`.
 The cases cover every subcommand, `--format exact|float`,
 `--output json|csv`, the documented exit-2 and exit-3 paths, `bound` on
 all four kinds of weight (rational or irrational |gamma|, real or
-non-real gamma*P - 3Q) and numeric `ptilde-eval` at three precisions.
+non-real gamma*P - 3Q), numeric `ptilde-eval` at three precisions and
+the `--help` text of the top level and of every subcommand.  Each case
+runs with COLUMNS=80, the width argparse wraps help text to.
 No case prints a `hash`, so the digests do not depend on
 `PYTHONHASHSEED`.  Argparse writes some of the stderr texts, so those
 digests belong to the Python version they were recorded with.
@@ -25,6 +27,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -167,22 +170,31 @@ CASES = [
     # no subcommand, unknown subcommand
     ([], None),
     (["frobnicate"], None),
+    # help text of the top level and of every subcommand
+    (["--help"], None),
+    *[
+        ([name, "--help"], None)
+        for name in (
+            "revert", "bell", "faber-k", "inverse", "fib", "ptilde", "ptilde-eval",
+            "schwarz-solve", "tremblay", "class-lhs", "witness", "bound",
+            "check-corollaries",
+        )
+    ],
 ]
 
 
 def run_case(argv, env_precision):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
-    saved = os.environ.pop(ENV_PRECISION, None)
-    if env_precision is not None:
-        os.environ[ENV_PRECISION] = env_precision
+    """(exit code, stdout, stderr) of one in-process CLI call.
+
+    COLUMNS is pinned to 80 because argparse wraps help text to it.
+    """
     out, err = io.StringIO(), io.StringIO()
-    try:
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop(ENV_PRECISION, None)
+        if env_precision is not None:
+            os.environ[ENV_PRECISION] = env_precision
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
-    finally:
-        os.environ.pop(ENV_PRECISION, None)
-        if saved is not None:
-            os.environ[ENV_PRECISION] = saved
     return code, out.getvalue(), err.getvalue()
 
 
