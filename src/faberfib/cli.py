@@ -5,8 +5,16 @@ for the tabular commands when --output csv is given) and is
 byte-deterministic for fixed inputs.  Exit codes: 0 on success, 2 for
 usage errors (argparse's own convention: bad flags, unreadable or
 non-finite arguments, csv on a non-tabular subcommand), 3 for domain
-errors such as a pole, a zero weight, or an index out of range; every
-error prints a structured JSON object on stderr and nothing on stdout.
+errors such as a pole, a zero weight, an index out of range or a size
+past its budget; every error prints a structured JSON object on stderr
+and nothing on stdout.
+
+Each subcommand is declared once, as a row of `_SUBCOMMANDS`: its name,
+its `_cmd_*` handler, its help text, its CSV columns (None when it has
+no tabular form) and its argument specs.  A handler returns the payload
+and the CSV rows; `main` puts the subcommand name first in the payload
+under "command".  Handlers call the library through this module's
+globals, so rebinding one of them (as a tracer does) reaches the CLI.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ ENV_PRECISION = "FABERFIB_PRECISION"
 # largest `fib --count`: F_20000 has 4180 digits, within Python's default
 # 4300-digit limit on int-to-text conversion
 MAX_FIB_COUNT = 20000
+# largest `bell --n`: the partition sum's cost grows with the partition
+# count, and at n = 40 its worst m takes about 0.6 s over Q(sqrt5, i)
+MAX_BELL_N = 40
 
 
 class _UsageError(Exception):
@@ -145,19 +156,14 @@ def _default_precision() -> int:
 # -- rendering helpers ---------------------------------------------------------
 
 
-def _demoted(values):
-    """Shrink a list of ExactComplex to the smallest coefficient field."""
+def _series_from(values) -> TruncatedSeries:
+    """A series of ExactComplex values over the smallest coefficient field."""
     if all(v.is_real for v in values):
         reals = [v.real for v in values]
         if all(r.is_rational for r in reals):
-            return [r.to_fraction() for r in reals], Fraction
-        return reals, QSqrt5
-    return list(values), ExactComplex
-
-
-def _series_from(values) -> TruncatedSeries:
-    coeffs, field = _demoted(values)
-    return TruncatedSeries(coeffs, field)
+            return TruncatedSeries([r.to_fraction() for r in reals], Fraction)
+        return TruncatedSeries(reals, QSqrt5)
+    return TruncatedSeries(list(values), ExactComplex)
 
 
 def _coeff_out(value, fmt: str):
@@ -182,12 +188,22 @@ def _candidate_payload(candidate, fmt: str) -> dict:
     }
 
 
+def _class_fields(op: OperatorParams, gamma=None) -> dict:
+    """The weight (when given) and the operator orders as exact text."""
+    fields = {} if gamma is None else {"gamma": render_scalar(gamma)}
+    fields["mu"] = render_rational(op.mu)
+    fields["rho"] = render_rational(op.rho)
+    return fields
+
+
+def _coefficients_out(series: TruncatedSeries, fmt: str) -> dict:
+    return {"order": series.order, "coefficients": [_coeff_out(c, fmt) for c in series.coeffs]}
+
+
 def _bound_payload(report: BoundReport, precision: int) -> dict:
     payload = {
         "kind": report.kind,
-        "gamma": render_scalar(report.gamma),
-        "mu": render_rational(report.op.mu),
-        "rho": render_rational(report.op.rho),
+        **_class_fields(report.op, report.gamma),
         "precision": precision,
         "bound_float": report.value,
         "error_bound": report.error,
@@ -214,9 +230,7 @@ def _bound_payload(report: BoundReport, precision: int) -> dict:
 def _bound_csv_row(report: BoundReport, implied_n: int | None) -> dict:
     return {
         "n": report.n if report.n is not None else implied_n,
-        "gamma": render_scalar(report.gamma),
-        "mu": render_rational(report.op.mu),
-        "rho": render_rational(report.op.rho),
+        **_class_fields(report.op, report.gamma),
         "branch": report.branch or "",
         "exact": report.exact or "",
         "float": repr(report.value),
@@ -225,54 +239,32 @@ def _bound_csv_row(report: BoundReport, implied_n: int | None) -> dict:
 
 
 # -- subcommand handlers -------------------------------------------------------
-# each returns (payload, csv_columns, csv_rows); csv_columns is None when
-# the subcommand has no tabular form
+# each returns (payload, csv_rows); `main` puts the subcommand name first in
+# the payload, and csv_rows is None for subcommands with no csv columns in
+# _SUBCOMMANDS
 
 
 def _cmd_revert(args):
-    series = _series_from(args.coeffs)
-    inverse = series.revert()
-    payload = {
-        "command": "revert",
-        "order": inverse.order,
-        "coefficients": [_coeff_out(c, args.format) for c in inverse.coeffs],
-    }
-    return payload, None, None
+    return _coefficients_out(_series_from(args.coeffs).revert(), args.format), None
 
 
 def _cmd_bell(args):
+    if args.n > MAX_BELL_N:
+        raise ValueError(f"n must be at most {MAX_BELL_N}, got {args.n}")
     value = partial_bell(args.n, args.m, args.coeffs)
-    payload = {
-        "command": "bell",
-        "n": args.n,
-        "m": args.m,
-        "value": _coeff_out(ExactComplex(value), args.format),
-    }
-    return payload, None, None
+    return {"n": args.n, "m": args.m, "value": _coeff_out(ExactComplex(value), args.format)}, None
 
 
 def _cmd_faber_k(args):
     value = faber_polynomial(args.n, args.p, args.coeffs)
-    payload = {
-        "command": "faber-k",
-        "n": args.n,
-        "p": args.p,
-        "value": _coeff_out(ExactComplex(value), args.format),
-    }
-    return payload, None, None
+    return {"n": args.n, "p": args.p, "value": _coeff_out(ExactComplex(value), args.format)}, None
 
 
 def _cmd_inverse(args):
     series = _series_from(args.coeffs)
     if args.order is not None:
         series = series.truncated(args.order)
-    inverse = faber_inverse_coefficients(series)
-    payload = {
-        "command": "inverse",
-        "order": inverse.order,
-        "coefficients": [_coeff_out(c, args.format) for c in inverse.coeffs],
-    }
-    return payload, None, None
+    return _coefficients_out(faber_inverse_coefficients(series), args.format), None
 
 
 def _cmd_fib(args):
@@ -285,9 +277,8 @@ def _cmd_fib(args):
     for _ in range(args.count + 1):
         values.append(a)
         a, b = b, a + b
-    payload = {"command": "fib", "count": args.count, "values": values}
     rows = ({"n": k, "value": v} for k, v in enumerate(values))
-    return payload, ["n", "value"], rows
+    return {"count": args.count, "values": values}, rows
 
 
 def _cmd_ptilde(args):
@@ -298,17 +289,12 @@ def _cmd_ptilde(args):
         table = [{"n": n, "exact": render_scalar(c)} for n, c in enumerate(coeffs, 1)]
     else:
         table = [{"n": n, "float": float(c)} for n, c in enumerate(coeffs, 1)]
-    payload = {
-        "command": "ptilde",
-        "order": args.order,
-        "format": args.format,
-        "coefficients": table,
-    }
+    payload = {"order": args.order, "format": args.format, "coefficients": table}
     rows = (
         {"n": n, "exact": render_scalar(c), "float": repr(float(c))}
         for n, c in enumerate(coeffs, 1)
     )
-    return payload, ["n", "exact", "float"], rows
+    return payload, rows
 
 
 def _cmd_ptilde_eval(args):
@@ -316,84 +302,48 @@ def _cmd_ptilde_eval(args):
     if mode == "exact":
         value = golden_value_exact(point if not point.is_real else point.real)
         numeric = complex(ExactComplex(value))
-        payload = {
-            "command": "ptilde-eval",
-            "z": render_scalar(point),
-            "mode": "exact",
-            "exact": render_scalar(value),
-            "re": numeric.real,
-            "im": numeric.imag,
-        }
+        payload = {"z": render_scalar(point), "mode": "exact", "exact": render_scalar(value)}
     else:
-        value = golden_value(point, precision=args.precision)
-        payload = {
-            "command": "ptilde-eval",
-            "z": repr(point),
-            "mode": "numeric",
-            "precision": args.precision,
-            "re": value.real,
-            "im": value.imag,
-        }
-    return payload, None, None
+        numeric = golden_value(point, precision=args.precision)
+        payload = {"z": repr(point), "mode": "numeric", "precision": args.precision}
+    return {**payload, "re": numeric.real, "im": numeric.imag}, None
 
 
 def _cmd_schwarz_solve(args):
     series = _series_from(args.coeffs)
     candidate = solve_schwarz(series)
-    payload = {
-        "command": "schwarz-solve",
-        "order": series.order,
-        "candidate": _candidate_payload(candidate, args.format),
-    }
-    return payload, None, None
+    return {"order": series.order, "candidate": _candidate_payload(candidate, args.format)}, None
 
 
 def _cmd_tremblay(args):
     op = OperatorParams(args.mu, args.rho)
-    series = _series_from(args.coeffs)
-    image = apply_operator(series, op)
+    image = apply_operator(_series_from(args.coeffs), op)
     payload = {
-        "command": "tremblay",
-        "mu": render_rational(op.mu),
-        "rho": render_rational(op.rho),
+        **_class_fields(op),
         "in_definition_window": op.in_definition_window,
-        "order": image.order,
-        "coefficients": [_coeff_out(c, args.format) for c in image.coeffs],
+        **_coefficients_out(image, args.format),
     }
-    return payload, None, None
+    return payload, None
 
 
 def _cmd_class_lhs(args):
     params = ClassParams(args.gamma, OperatorParams(args.mu, args.rho))
-    series = _series_from(args.coeffs)
-    lhs = subordination_lhs(series, params)
-    payload = {
-        "command": "class-lhs",
-        "gamma": render_scalar(params.gamma),
-        "mu": render_rational(params.op.mu),
-        "rho": render_rational(params.op.rho),
-        "order": lhs.order,
-        "coefficients": [_coeff_out(c, args.format) for c in lhs.coeffs],
-    }
-    return payload, None, None
+    lhs = subordination_lhs(_series_from(args.coeffs), params)
+    return {**_class_fields(params.op, params.gamma), **_coefficients_out(lhs, args.format)}, None
 
 
 def _cmd_witness(args):
     params = ClassParams(args.gamma, OperatorParams(args.mu, args.rho))
-    series = _series_from(args.coeffs)
-    report = membership_witness(series, params, order=args.order)
+    report = membership_witness(_series_from(args.coeffs), params, order=args.order)
     payload = {
-        "command": "witness",
         "order": report.order,
-        "gamma": render_scalar(params.gamma),
-        "mu": render_rational(params.op.mu),
-        "rho": render_rational(params.op.rho),
+        **_class_fields(params.op, params.gamma),
         "in_definition_window": params.op.in_definition_window,
         "verdict": report.verdict,
         "map_candidate": _candidate_payload(report.map_candidate, args.format),
         "inverse_candidate": _candidate_payload(report.inverse_candidate, args.format),
     }
-    return payload, None, None
+    return payload, None
 
 
 def _cmd_bound(args):
@@ -411,12 +361,10 @@ def _cmd_bound(args):
             reports.append((bound_a3(args.gamma, op, args.precision), 3))
     payloads = [_bound_payload(r, args.precision) for r, _ in reports]
     if len(payloads) == 1:
-        payload = {"command": "bound", "theorem": args.theorem, **payloads[0]}
+        payload = {"theorem": args.theorem, **payloads[0]}
     else:
-        payload = {"command": "bound", "theorem": args.theorem, "bounds": payloads}
-    rows = [_bound_csv_row(r, implied) for r, implied in reports]
-    columns = ["n", "gamma", "mu", "rho", "branch", "exact", "float", "error_bound"]
-    return payload, columns, rows
+        payload = {"theorem": args.theorem, "bounds": payloads}
+    return payload, [_bound_csv_row(r, implied) for r, implied in reports]
 
 
 def _cmd_check_corollaries(args):
@@ -431,33 +379,97 @@ def _cmd_check_corollaries(args):
         rows, ok = corollary_check(which, grid=grid, precision=args.precision)
         all_rows.extend(rows)
         overall = overall and ok
-    rendered = [
-        {
-            "corollary": row["corollary"],
-            "bound": row["bound"],
-            "gamma": render_scalar(row["gamma"]),
-            "n": row["n"],
-            "expected": row["expected"],
-            "actual": row["actual"],
-            "pass": row["pass"],
-        }
-        for row in all_rows
-    ]
-    payload = {
-        "command": "check-corollaries",
-        "which": list(picks),
-        "rows": rendered,
-        "all_pass": overall,
-    }
+    rendered = [{**row, "gamma": render_scalar(row["gamma"])} for row in all_rows]
     csv_rows = [
         {**row, "expected": repr(row["expected"]), "actual": repr(row["actual"])}
         for row in rendered
     ]
-    columns = ["corollary", "bound", "gamma", "n", "expected", "actual", "pass"]
-    return payload, columns, csv_rows
+    return {"which": list(picks), "rows": rendered, "all_pass": overall}, csv_rows
 
 
-# -- parser assembly -----------------------------------------------------------
+# -- subcommand table ----------------------------------------------------------
+# argument specs are (flag, add_argument keywords); the ones several
+# subcommands share are built once here
+
+
+def _coeffs(help_text=None):
+    return "--coeffs", {"type": _arg_coeffs, "required": True, "help": help_text}
+
+
+_REQUIRED_N = ("--n", {"type": int, "required": True})
+_GAMMA = ("--gamma", {"type": _arg_scalar, "required": True})
+_MU_RHO = (("--mu", {"type": _arg_rational, "required": True}),
+           ("--rho", {"type": _arg_rational, "required": True}))
+
+# (name, handler, help, csv columns or None, argument specs)
+_SUBCOMMANDS = (
+    ("revert", _cmd_revert, "compositional inverse by triangular solve", None, (
+        _coeffs("comma-separated series coefficients c_0,c_1,... with c_0=0, c_1=1"),
+    )),
+    ("bell", _cmd_bell, "partition-sum polynomial value", None, (
+        _REQUIRED_N,
+        ("--m", {"type": int, "required": True}),
+        _coeffs("inputs u_1,...,u_n"),
+    )),
+    ("faber-k", _cmd_faber_k,
+     "coefficient of z^n in an integer power of a unit series", None, (
+        _REQUIRED_N,
+        ("--p", {"type": int, "required": True, "help": "integer exponent, may be negative"}),
+        _coeffs("inputs a_1,...,a_{n+1} with a_1=1"),
+    )),
+    ("inverse", _cmd_inverse, "compositional inverse by Lagrange inversion", None, (
+        _coeffs(),
+        ("--order", {"type": int, "default": None, "help": "truncate the input before inverting"}),
+    )),
+    ("fib", _cmd_fib, "Fibonacci numbers F_0..F_count", ("n", "value"), (
+        ("--count", {"type": int, "required": True,
+                     "help": f"largest index, at most {MAX_FIB_COUNT}"}),
+    )),
+    ("ptilde", _cmd_ptilde, "generator Taylor coefficients", ("n", "exact", "float"), (
+        ("--order", {"type": int, "required": True}),
+    )),
+    ("ptilde-eval", _cmd_ptilde_eval, "evaluate the generator at a point", None, (
+        ("--z", {"type": _arg_point, "required": True,
+                 "help": "exact scalar text, a float, or 're,im'"}),
+    )),
+    ("schwarz-solve", _cmd_schwarz_solve,
+     "recover the formal disc map under the generator", None, (
+        _coeffs("series with constant term exactly 1"),
+    )),
+    ("tremblay", _cmd_tremblay, "apply the fractional operator termwise", None, (
+        _coeffs("series with zero constant term"),
+        *_MU_RHO,
+    )),
+    ("class-lhs", _cmd_class_lhs, "class-defining series of a normalized map", None, (
+        _coeffs(),
+        _GAMMA,
+        *_MU_RHO,
+    )),
+    ("witness", _cmd_witness, "two-sided membership test for a map and its inverse", None, (
+        _coeffs(),
+        _GAMMA,
+        *_MU_RHO,
+        ("--order", {"type": int, "default": None}),
+    )),
+    ("bound", _cmd_bound, "evaluate a coefficient bound",
+     ("n", "gamma", "mu", "rho", "branch", "exact", "float", "error_bound"), (
+        ("--theorem", {"type": int, "choices": (1, 2), "required": True}),
+        ("--n", {"type": int, "default": None, "help": "coefficient index (theorem 1)"}),
+        ("--which", {"choices": ("a2", "a3", "both"), "default": None,
+                     "help": "which theorem-2 bound (default both)"}),
+        _GAMMA,
+        *_MU_RHO,
+    )),
+    ("check-corollaries", _cmd_check_corollaries,
+     "replay specializations against independent formulas",
+     ("corollary", "bound", "gamma", "n", "expected", "actual", "pass"), (
+        ("--which", {"choices": ("1", "2", "3", "4", "all"), "default": "all"}),
+        ("--gammas", {"type": _arg_coeffs, "default": None,
+                      "help": "comma-separated weights for the replay grid"}),
+        ("--ns", {"type": lambda s: [int(x) for x in s.split(",")], "default": None,
+                  "help": "comma-separated coefficient indices for the replay grid"}),
+    )),
+)
 
 
 def _build_parser(default_precision: int) -> argparse.ArgumentParser:
@@ -480,91 +492,11 @@ def _build_parser(default_precision: int) -> argparse.ArgumentParser:
         description="Exact coefficient machinery for golden-ratio subordination classes.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("revert", parents=[common], help="compositional inverse by triangular solve")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True,
-                   help="comma-separated series coefficients c_0,c_1,... with c_0=0, c_1=1")
-    p.set_defaults(handler=_cmd_revert)
-
-    p = sub.add_parser("bell", parents=[common], help="partition-sum polynomial value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True, help="inputs u_1,...,u_n")
-    p.set_defaults(handler=_cmd_bell)
-
-    p = sub.add_parser("faber-k", parents=[common],
-                       help="coefficient of z^n in an integer power of a unit series")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True, help="integer exponent, may be negative")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True, help="inputs a_1,...,a_{n+1} with a_1=1")
-    p.set_defaults(handler=_cmd_faber_k)
-
-    p = sub.add_parser("inverse", parents=[common], help="compositional inverse by Lagrange inversion")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True)
-    p.add_argument("--order", type=int, default=None, help="truncate the input before inverting")
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("fib", parents=[common], help="Fibonacci numbers F_0..F_count")
-    p.add_argument("--count", type=int, required=True,
-                   help=f"largest index, at most {MAX_FIB_COUNT}")
-    p.set_defaults(handler=_cmd_fib)
-
-    p = sub.add_parser("ptilde", parents=[common], help="generator Taylor coefficients")
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(handler=_cmd_ptilde)
-
-    p = sub.add_parser("ptilde-eval", parents=[common], help="evaluate the generator at a point")
-    p.add_argument("--z", type=_arg_point, required=True,
-                   help="exact scalar text, a float, or 're,im'")
-    p.set_defaults(handler=_cmd_ptilde_eval)
-
-    p = sub.add_parser("schwarz-solve", parents=[common],
-                       help="recover the formal disc map under the generator")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True,
-                   help="series with constant term exactly 1")
-    p.set_defaults(handler=_cmd_schwarz_solve)
-
-    p = sub.add_parser("tremblay", parents=[common], help="apply the fractional operator termwise")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True, help="series with zero constant term")
-    p.add_argument("--mu", type=_arg_rational, required=True)
-    p.add_argument("--rho", type=_arg_rational, required=True)
-    p.set_defaults(handler=_cmd_tremblay)
-
-    p = sub.add_parser("class-lhs", parents=[common], help="class-defining series of a normalized map")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True)
-    p.add_argument("--gamma", type=_arg_scalar, required=True)
-    p.add_argument("--mu", type=_arg_rational, required=True)
-    p.add_argument("--rho", type=_arg_rational, required=True)
-    p.set_defaults(handler=_cmd_class_lhs)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="two-sided membership test for a map and its inverse")
-    p.add_argument("--coeffs", type=_arg_coeffs, required=True)
-    p.add_argument("--gamma", type=_arg_scalar, required=True)
-    p.add_argument("--mu", type=_arg_rational, required=True)
-    p.add_argument("--rho", type=_arg_rational, required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("bound", parents=[common], help="evaluate a coefficient bound")
-    p.add_argument("--theorem", type=int, choices=(1, 2), required=True)
-    p.add_argument("--n", type=int, default=None, help="coefficient index (theorem 1)")
-    p.add_argument("--which", choices=("a2", "a3", "both"), default=None,
-                   help="which theorem-2 bound (default both)")
-    p.add_argument("--gamma", type=_arg_scalar, required=True)
-    p.add_argument("--mu", type=_arg_rational, required=True)
-    p.add_argument("--rho", type=_arg_rational, required=True)
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser("check-corollaries", parents=[common],
-                       help="replay specializations against independent formulas")
-    p.add_argument("--which", choices=("1", "2", "3", "4", "all"), default="all")
-    p.add_argument("--gammas", type=_arg_coeffs, default=None,
-                   help="comma-separated weights for the replay grid")
-    p.add_argument("--ns", type=lambda s: [int(x) for x in s.split(",")], default=None,
-                   help="comma-separated coefficient indices for the replay grid")
-    p.set_defaults(handler=_cmd_check_corollaries)
-
+    for name, handler, help_text, columns, specs in _SUBCOMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in specs:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, csv_columns=columns)
     return parser
 
 
@@ -588,13 +520,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, columns, rows = args.handler(args)
+        payload, rows = args.handler(args)
         if args.output == "csv":
-            if columns is None:
+            if args.csv_columns is None:
                 raise _UsageError(f"no csv form for subcommand {args.subcommand!r}")
-            text = _emit_csv(columns, rows)
+            text = _emit_csv(args.csv_columns, rows)
         else:
-            text = json.dumps(payload, indent=2) + "\n"
+            text = json.dumps({"command": args.subcommand, **payload}, indent=2) + "\n"
     except _UsageError as exc:
         _report_error("UsageError", str(exc))
         return 2

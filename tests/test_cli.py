@@ -11,7 +11,7 @@ import pytest
 
 import faberfib
 from faberfib import ABS_TAU, parse_qsqrt5, parse_scalar
-from faberfib.cli import MAX_FIB_COUNT, main
+from faberfib.cli import MAX_BELL_N, MAX_FIB_COUNT, main
 from faberfib.exact import MAX_SCALAR_NESTING
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -323,6 +323,29 @@ class TestBudgets:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert str(MAX_FIB_COUNT) in error["message"]
+
+    def test_bell_n_at_budget(self, capsys):
+        # m = n and m = 1 each have a single partition, so the budget itself runs at once
+        coeffs = ",".join(str(k) for k in range(2, MAX_BELL_N + 2))
+        for m, expected in ((MAX_BELL_N, str(2**MAX_BELL_N)), (1, str(MAX_BELL_N + 1))):
+            code, out, _ = run_cli(capsys, "bell", "--n", str(MAX_BELL_N), "--m", str(m),
+                                   "--coeffs", coeffs)
+            assert code == 0
+            assert json.loads(out)["value"] == expected
+
+    def test_bell_n_budget_checked_before_partitions(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("partial_bell ran past the budget")
+
+        monkeypatch.setattr(faberfib.cli, "partial_bell", unreachable)
+        coeffs = ",".join(["1"] * (MAX_BELL_N + 1))
+        code, out, err = run_cli(capsys, "bell", "--n", str(MAX_BELL_N + 1), "--m", "1",
+                                 "--coeffs", coeffs)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert str(MAX_BELL_N) in error["message"]
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"

@@ -61,6 +61,9 @@ CASES = [
     (["bell", "--n", "4", "--m", "2", "--coeffs", "1,i,2,3"], None),
     (["bell", "--n", "3", "--m", "5", "--coeffs", "1,2,3"], None),
     (["bell", "--n", "2", "--m", "1", "--coeffs", "1"], None),
+    # the n budget (cli.MAX_BELL_N = 40) and one past it
+    (["bell", "--n", "40", "--m", "40", "--coeffs", ",".join(["2"] + ["1"] * 39)], None),
+    (["bell", "--n", "41", "--m", "1", "--coeffs", ",".join(["1"] * 41)], None),
     # faber-k
     (["faber-k", "--n", "1", "--p", "-2", "--coeffs", "1,3,0"], None),
     (["faber-k", "--n", "4", "--p", "-5", "--coeffs", "1,1/2,sqrt5,i,1/3"], None),
