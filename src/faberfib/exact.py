@@ -551,16 +551,6 @@ class Interval:
         )
         return Interval(min(quotients), max(quotients))
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
     def sqrt(self, bits: int) -> "Interval":
         if self.hi < 0:
             raise ValueError("square root of a negative interval")

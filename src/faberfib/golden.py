@@ -241,23 +241,21 @@ def solve_schwarz(subordinate: TruncatedSeries) -> SchwarzCandidate:
         c[k] = p[k] * tau_inverse - linear - tau * quadratic
     coeffs = c[1:]
 
-    c1_within = True
-    c1_boundary = False
-    c2_within = True
-    c2_boundary = False
+    c1_within = c2_within = True
+    c1_boundary = c2_boundary = False
     if coeffs:
-        slack = QSqrt5(1) - coeffs[0].abs_squared()
-        c1_within = slack.sign() >= 0
-        c1_boundary = slack.sign() == 0
-    if len(coeffs) >= 2:
-        # |c_2| <= 1 - |c_1|**2, compared through squares to stay exact
         margin = QSqrt5(1) - coeffs[0].abs_squared()
-        if margin.sign() < 0:
-            c2_within = False
-        else:
-            gap = margin * margin - coeffs[1].abs_squared()
-            c2_within = gap.sign() >= 0
-            c2_boundary = gap.sign() == 0
+        margin_sign = margin.sign()
+        c1_within = margin_sign >= 0
+        c1_boundary = margin_sign == 0
+        if len(coeffs) >= 2:
+            # |c_2| <= 1 - |c_1|**2, compared through squares to stay exact
+            if margin_sign < 0:
+                c2_within = False
+            else:
+                gap_sign = (margin * margin - coeffs[1].abs_squared()).sign()
+                c2_within = gap_sign >= 0
+                c2_boundary = gap_sign == 0
     return SchwarzCandidate(
         coeffs=tuple(coeffs),
         c1_within_unit=c1_within,
