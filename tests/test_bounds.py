@@ -9,15 +9,20 @@ import pytest
 
 from faberfib import (
     ABS_TAU,
+    VIOLATED,
+    ClassParams,
     ExactComplex,
     Interval,
+    NormalizedSeries,
     OperatorParams,
     QSqrt5,
     bound_a2,
     bound_a3,
     bound_theorem1,
     corollary_check,
+    membership_witness,
     parse_qsqrt5,
+    parse_scalar,
     rising_ratio,
 )
 from faberfib.bounds import _sign
@@ -100,6 +105,54 @@ class TestTheorem1:
             bound_theorem1(2, 1, OP11)
         with pytest.raises(ValueError):
             bound_theorem1(3, 0, OP11)
+
+
+class TestTheorem1WitnessFlip:
+    """A second exact route for Theorem 1 at n = 3.
+
+    For f = z + a z^3 truncated at order 3, both Schwarz candidates are
+    (0, c_2) with |c_2| proportional to |a|, so the order-3 witness
+    reaches the |c_2| <= 1 boundary exactly when |a| equals the bound.
+    At n >= 4 the two-condition witness does not see the bound; that
+    needs the full Schur test.
+    """
+
+    @pytest.mark.parametrize(
+        "gamma",
+        # rational modulus, modulus outside Q(sqrt 5), then weights in Q(sqrt 5, i)
+        ["1", "-2", "3/5 + 4/5*i", "1 + i", "sqrt5", "1/2 + 1/3*sqrt5 + 2/3*i", "2 - sqrt5*i"],
+    )
+    @pytest.mark.parametrize(
+        "mu, rho",
+        [(1, 1), (Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 4), Fraction(1, 2)), (2, 5)],
+    )
+    def test_witness_flips_at_the_bound(self, gamma, mu, rho):
+        g = parse_scalar(gamma)
+        op = OperatorParams(Fraction(mu), Fraction(rho))
+        params = ClassParams(g, op)
+        # gamma (rho+1)_2 / (3 (mu+1)_2) |tau|, written out rather than through rising_ratio
+        ratio = (op.rho + 1) * (op.rho + 2) / (3 * (op.mu + 1) * (op.mu + 2))
+        a = g * ExactComplex(ABS_TAU * ratio)
+
+        exact = bound_theorem1(3, g, op).exact
+        if exact.startswith("sqrt("):
+            assert parse_qsqrt5(exact[len("sqrt("):-1]) == a.abs_squared()
+        else:
+            assert parse_qsqrt5(exact) ** 2 == a.abs_squared()
+
+        def witness(scale):
+            f = NormalizedSeries.from_upper([0, a * scale], ExactComplex)
+            return membership_witness(f, params, order=3)
+
+        at_bound = witness(1)
+        assert at_bound.consistent
+        assert at_bound.map_candidate.c2_on_boundary
+        assert at_bound.inverse_candidate.c2_on_boundary
+        assert witness(Fraction(1001, 1000)).verdict == VIOLATED
+        inside = witness(Fraction(999, 1000))
+        assert inside.consistent
+        assert not inside.map_candidate.c2_on_boundary
+        assert not inside.inverse_candidate.c2_on_boundary
 
 
 class TestBoundA2:
