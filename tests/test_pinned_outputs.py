@@ -7,7 +7,8 @@ flag or a canonical form changes them.  The witness and Schwarz digests
 were recorded before the integer-coordinate `QSqrt5`; the Faber,
 composition and command digests before Miller's recurrence replaced the
 partition sums in `faber_polynomial` and the integer-coordinate kernel
-replaced the ring-object loop in `TruncatedSeries.compose`.
+replaced the ring-object loop in `TruncatedSeries.compose`; the bound
+digests before each bound formula was written once over one carrier.
 """
 
 import hashlib
@@ -16,12 +17,16 @@ from fractions import Fraction
 import pytest
 
 from faberfib import (
+    ABS_TAU,
     ClassParams,
     ExactComplex,
     NormalizedSeries,
     OperatorParams,
     QSqrt5,
     TruncatedSeries,
+    bound_a2,
+    bound_a3,
+    bound_theorem1,
     faber_inverse_coefficients,
     faber_polynomial,
     golden_series,
@@ -167,3 +172,76 @@ def test_command_stdout_pinned(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[argv]
+
+
+BOUND_OPS = [
+    OperatorParams(Fraction(1), Fraction(1)),
+    OperatorParams(Fraction(1, 2), Fraction(1, 4)),
+    OperatorParams(Fraction(3, 4), Fraction(5, 2)),
+    OperatorParams(Fraction(7, 3), Fraction(2, 3)),
+]
+
+
+def aggregates(op):
+    """The rational aggregates P and Q of the second-coefficient bounds."""
+    mu, rho = op.mu, op.rho
+    big_p = 3 * (mu + 1) * (mu + 2) / ((rho + 1) * (rho + 2))
+    big_q = 4 * (mu + 1) ** 2 / (rho + 1) ** 2
+    return big_p, big_q
+
+
+# each weight as a function of (P, Q), so the last three can sit on an
+# edge of the a3 bracket or of the branch discriminant
+BOUND_WEIGHTS = {
+    "rational": lambda p, q: ExactComplex(Fraction(2, 3)),
+    "pythagorean": lambda p, q: ExactComplex(Fraction(12, 5), Fraction(-16, 5)),
+    "irrational-modulus": lambda p, q: ExactComplex(Fraction(1, 3), Fraction(-2, 7)),
+    "sqrt5-complex": lambda p, q: ExactComplex(QSqrt5(Fraction(1, 2), Fraction(1, 3)), Fraction(2, 3)),
+    "sqrt5-real": lambda p, q: ExactComplex(QSqrt5(Fraction(-1, 2), Fraction(3, 4))),
+    # P |gamma| |tau| = Q: the a3 bracket numerator vanishes
+    "zero-bracket": lambda p, q: ExactComplex(q / (p * ABS_TAU)),
+    "zero-bracket-rotated": lambda p, q: (q / (p * ABS_TAU)) * ExactComplex(Fraction(3, 5), Fraction(4, 5)),
+    # gamma P - 3Q = 0: the branch discriminant vanishes
+    "vanishing-discriminant": lambda p, q: ExactComplex(3 * q / p),
+}
+
+BOUND_DIGESTS = {
+    ("rational", 53): "8a88b767939631be2920f42ade9fad456a420724017c23c50129b09671a14be3",
+    ("rational", 128): "ff69d17b04427a9b8323134b90e29f75e491199efd84805277f737a42933c5fc",
+    ("rational", 256): "ff69d17b04427a9b8323134b90e29f75e491199efd84805277f737a42933c5fc",
+    ("pythagorean", 53): "5381da32f8bb5d0c3828671396b18c7134adb9765da169115f5c3b1833f8da7a",
+    ("pythagorean", 128): "5cd1c163b467a68a4a71da2dc2f1dd470b417cdcc727b23c3b5e4b6b35e4cf91",
+    ("pythagorean", 256): "5cd1c163b467a68a4a71da2dc2f1dd470b417cdcc727b23c3b5e4b6b35e4cf91",
+    ("irrational-modulus", 53): "22ae188ee7bfb2d203b3c4fadebe1f1b0ad2769fe45dfc1d256148da08af28b5",
+    ("irrational-modulus", 128): "fb0cd0fda34a3d20d10b6f5dad55c195a247431cb1735e5d6be2979f31e0b7fd",
+    ("irrational-modulus", 256): "fb0cd0fda34a3d20d10b6f5dad55c195a247431cb1735e5d6be2979f31e0b7fd",
+    ("sqrt5-complex", 53): "26db979db501829bfe22fcb9546d9c035086a02ff2529b62b63515e20551aba5",
+    ("sqrt5-complex", 128): "6ca89e56afe0cf85d2bdc1572f2be5bfdcc6cb0d90098b3321504420a8a53bdb",
+    ("sqrt5-complex", 256): "6ca89e56afe0cf85d2bdc1572f2be5bfdcc6cb0d90098b3321504420a8a53bdb",
+    ("sqrt5-real", 53): "e0d862a58881ff80f48390ac827db5897b27c9bdb64a00c31e0fa512ad52885e",
+    ("sqrt5-real", 128): "672fd7a8b3bccae48c624b2ba47044db756a1c0168f19336a10d12b0cce48c96",
+    ("sqrt5-real", 256): "672fd7a8b3bccae48c624b2ba47044db756a1c0168f19336a10d12b0cce48c96",
+    ("zero-bracket", 53): "802ebf7c48d9620c0d3a960893f2efa558c2082fb65346008d445b8187dbbee1",
+    ("zero-bracket", 128): "0c2c78a322364ec5f4cb27db7008582d936de57483c95183ebeb4d5fb759c4d6",
+    ("zero-bracket", 256): "0c2c78a322364ec5f4cb27db7008582d936de57483c95183ebeb4d5fb759c4d6",
+    ("zero-bracket-rotated", 53): "ea847b02a7abd74175d7b0e08211b69c5cd3f2f0e1f1c5fcddb4d9a03e88f5ad",
+    ("zero-bracket-rotated", 128): "fbdb0e9cb8d9c7060e35e5e7f70aee18d382c24d68cc11079c7123fa034b4e65",
+    ("zero-bracket-rotated", 256): "fbdb0e9cb8d9c7060e35e5e7f70aee18d382c24d68cc11079c7123fa034b4e65",
+    ("vanishing-discriminant", 53): "1555fd74e2397c0dfb9250a5110360474a624cdbca6998da9e1d03ac65661f15",
+    ("vanishing-discriminant", 128): "47eee417736c211d96ebfb62504edf74440a64b6a27659f1455c660d86f440b9",
+    ("vanishing-discriminant", 256): "47eee417736c211d96ebfb62504edf74440a64b6a27659f1455c660d86f440b9",
+}
+
+
+def bound_reports(weight: str, precision: int) -> list:
+    reports = []
+    for op in BOUND_OPS:
+        g = BOUND_WEIGHTS[weight](*aggregates(op))
+        reports += [bound_theorem1(n, g, op, precision) for n in (3, 7)]
+        reports += [bound_a2(g, op, precision), bound_a3(g, op, precision)]
+    return reports
+
+
+@pytest.mark.parametrize("weight, precision", sorted(BOUND_DIGESTS))
+def test_bound_reports_repr_pinned(weight, precision):
+    assert digest(bound_reports(weight, precision)) == BOUND_DIGESTS[weight, precision]
