@@ -4,10 +4,16 @@ Every bound is a nonnegative real built from |gamma|, |tau| and
 Pochhammer quotients.  Which branch of a two-branch bound is the
 smaller, and the sign of the third-coefficient bracket, are decided
 exactly: each is the sign of a + b*sqrt(A) + c*sqrt(B) with every term
-in Q(sqrt 5), settled by squaring in the field.  A value that, or whose
-square, lies in Q(sqrt 5) is carried exactly; any other (complex gamma
-of non-rational modulus, or a complex branch discriminant) is enclosed
-in dyadic intervals at the requested precision for its float.
+in Q(sqrt 5), settled by squaring in the field.
+
+Each branch formula is written once and evaluated once, over one
+carrier chosen by one rule (`_Terms`): |gamma| is exact when it is
+rational, |gamma P - 3Q| when gamma P - 3Q is real.  A formula whose
+moduli are all exact runs in Q(sqrt 5) and reports its value, or its
+square, exactly; any other runs on dyadic intervals at the requested
+precision and reports only its float.  The general-coefficient bound
+and the first third-coefficient branch read |gamma| alone, so they are
+always exact: the value when |gamma| is, else its square.
 
 The two-branch bounds report both branch values and which one is the
 minimum.  The bracket of the second third-coefficient branch can have a
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exact import (
     ExactComplex,
@@ -46,6 +53,7 @@ DEFAULT_PRECISION = 128
 
 _TAU_SQ = TAU * TAU
 _ZERO = QSqrt5(0)
+_ONE = QSqrt5(1)
 
 
 def _sign(a: QSqrt5, b: QSqrt5, big_a: QSqrt5, c: QSqrt5 = _ZERO, big_b: QSqrt5 = _ZERO) -> int:
@@ -64,34 +72,6 @@ def _sign(a: QSqrt5, b: QSqrt5, big_a: QSqrt5, c: QSqrt5 = _ZERO, big_b: QSqrt5 
     if head * tail < 0:
         return head * (a * a - b * b * big_a).sign()
     return head or tail
-
-
-class _BoundValue:
-    """A nonnegative bound with the tightest exact carrier available.
-
-    `direct` is the value itself in Q(sqrt 5) when representable;
-    otherwise `square` is the value's square in Q(sqrt 5) when that is;
-    otherwise `fn` computes a dyadic enclosure at a requested bit count.
-    """
-
-    def __init__(self, direct: QSqrt5 | None = None, square: QSqrt5 | None = None, fn=None):
-        self.direct = direct
-        self.square = square
-        self.fn = fn
-
-    def interval(self, bits: int) -> Interval:
-        if self.direct is not None:
-            return Interval.from_qsqrt5(self.direct, bits)
-        if self.square is not None:
-            return Interval.from_qsqrt5(self.square, bits).sqrt(bits)
-        return self.fn(bits)
-
-    def render_exact(self) -> str | None:
-        if self.direct is not None:
-            return render_qsqrt5(self.direct)
-        if self.square is not None:
-            return f"sqrt({render_qsqrt5(self.square)})"
-        return None
 
 
 @dataclass(frozen=True)
@@ -129,14 +109,6 @@ class BoundReport:
     second_bracket_negative: bool | None = None
 
 
-def _exact_abs(z: ExactComplex) -> Fraction | None:
-    """|z| as an exact rational when |z|**2 is a rational perfect square."""
-    sq = z.abs_squared()
-    if not sq.is_rational:
-        return None
-    return fraction_sqrt(sq.to_fraction())
-
-
 def _coerce_gamma(gamma) -> ExactComplex:
     g = ExactComplex(gamma)
     if not g:
@@ -144,34 +116,70 @@ def _coerce_gamma(gamma) -> ExactComplex:
     return g
 
 
-def _numerator_params(op: OperatorParams):
-    """The two rational aggregates every second-coefficient bound uses."""
-    mu, rho = op.mu, op.rho
-    big_p = Fraction(3) * (mu + 1) * (mu + 2) / ((rho + 1) * (rho + 2))
-    big_q = Fraction(4) * (mu + 1) ** 2 / (rho + 1) ** 2
-    return big_p, big_q
+class _Terms:
+    """|gamma|**2, and with `op` also P, Q and |gamma P - 3Q|**2, of one bound call.
+
+    The exactness rule lives here alone: |gamma| is exact when it is
+    rational, and |gamma P - 3Q| when gamma P - 3Q is real.
+    """
+
+    def __init__(self, g: ExactComplex, op: OperatorParams | None = None):
+        self.g2 = g.abs_squared()
+        root = fraction_sqrt(self.g2.to_fraction()) if self.g2.is_rational else None
+        self.abs_g = None if root is None else QSqrt5(root)
+        if op is not None:
+            mu, rho = op.mu, op.rho
+            self.p = QSqrt5(Fraction(3) * (mu + 1) * (mu + 2) / ((rho + 1) * (rho + 2)))
+            self.q = QSqrt5(Fraction(4) * (mu + 1) ** 2 / (rho + 1) ** 2)
+            disc = g * self.p - 3 * self.q
+            self.disc_sq = disc.abs_squared()
+            self.abs_disc = abs(disc.real) if disc.is_real else None
+
+    def times_abs_g(self, scale: QSqrt5) -> tuple[QSqrt5, bool]:
+        """(scale |gamma|, False) when |gamma| is exact, else (its square, True)."""
+        if self.abs_g is not None:
+            return self.abs_g * scale, False
+        return self.g2 * scale * scale, True
+
+    def carrier(self, precision: int, gamma: bool = False, disc: bool = False):
+        """(lift, |gamma|, |gamma P - 3Q|) for a formula that reads the named moduli.
+
+        All in Q(sqrt 5) when every modulus read is exact, else intervals
+        at `precision`; `lift` brings an exact constant into the carrier.
+        Interval arithmetic is not distributive, so a formula lifts each
+        exact product whole and keeps its grouping: either change would
+        move the enclosure and the reported float.
+        """
+        if (not gamma or self.abs_g is not None) and (not disc or self.abs_disc is not None):
+            return QSqrt5, self.abs_g, self.abs_disc
+        return (
+            partial(Interval.from_qsqrt5, bits=precision),
+            Interval.from_qsqrt5(self.g2, precision).sqrt(precision) if gamma else None,
+            Interval.from_qsqrt5(self.disc_sq, precision).sqrt(precision) if disc else None,
+        )
 
 
-def _branch_report(label: str, value: _BoundValue, precision: int) -> BranchReport:
-    flt, err = _enclosure_float(value.interval(precision))
-    return BranchReport(label=label, value=flt, error=err, exact=value.render_exact())
+def _branch_report(label: str, value, precision: int, root: bool = False) -> BranchReport:
+    """Report an exact value, or with `root` an exact square, or an enclosure of either."""
+    if isinstance(value, Interval):
+        iv, exact = value, None
+    else:
+        iv, exact = Interval.from_qsqrt5(value, precision), render_qsqrt5(value)
+        if root:
+            exact = f"sqrt({exact})"
+    flt, err = _enclosure_float(iv.sqrt(precision) if root else iv)
+    return BranchReport(label=label, value=flt, error=err, exact=exact)
 
 
 def _minimum_report(
     kind: str,
     gamma: ExactComplex,
     op: OperatorParams,
-    first: _BoundValue,
-    second: _BoundValue,
+    branches: tuple[BranchReport, BranchReport],
     ordering: int,
-    precision: int,
     bracket_flag: bool | None = None,
 ) -> BoundReport:
     """The report of a two-branch bound; `ordering` is the sign of first - second."""
-    branches = (
-        _branch_report("first", first, precision),
-        _branch_report("second", second, precision),
-    )
     chosen = branches[1] if ordering > 0 else branches[0]
     return BoundReport(
         kind=kind,
@@ -199,22 +207,10 @@ def bound_theorem1(
     if n < 3:
         raise ValueError(f"the vanishing-coefficient bound starts at n = 3, got {n}")
     g = _coerce_gamma(gamma)
-    ratio = rising_ratio(op.rho + 1, op.mu + 1, n - 1) / n
-    abs_gamma = _exact_abs(g)
-    if abs_gamma is not None:
-        value = _BoundValue(direct=abs_gamma * ratio * ABS_TAU)
-    else:
-        value = _BoundValue(square=g.abs_squared() * ratio * ratio * _TAU_SQ)
-    flt, err = _enclosure_float(value.interval(precision))
-    return BoundReport(
-        kind="general-coefficient",
-        gamma=g,
-        op=op,
-        n=n,
-        value=flt,
-        error=err,
-        exact=value.render_exact(),
-    )
+    scale = rising_ratio(op.rho + 1, op.mu + 1, n - 1) / n * ABS_TAU
+    value, root = _Terms(g).times_abs_g(scale)
+    b = _branch_report("", value, precision, root)
+    return BoundReport("general-coefficient", g, op, b.value, b.error, b.exact, n=n)
 
 
 def bound_a2(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> BoundReport:
@@ -222,44 +218,23 @@ def bound_a2(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
 
     First branch |gamma| |tau| / sqrt(|gamma P - 3Q| |tau| + Q), second
     branch |tau| sqrt(3 |gamma| / P), with P and Q the rational
-    aggregates of the operator orders.  The first branch is carried
-    exactly whenever gamma P - 3Q is real, the second whenever |gamma|
-    is rational; any other branch value is enclosed in intervals.  The
-    first branch is the smaller exactly when
+    aggregates of the operator orders.  Each branch is computed as its
+    square, exactly when the one modulus it reads is exact.  The first
+    branch is the smaller exactly when
     P |gamma| - 3 |tau| |gamma P - 3Q| - 3Q is negative.
     """
     g = _coerce_gamma(gamma)
-    big_p, big_q = _numerator_params(op)
-    g2 = g.abs_squared()
-    abs_gamma = _exact_abs(g)
-    disc = g * big_p - ExactComplex(3 * big_q)
-    disc_sq = disc.abs_squared()
-
-    if disc.is_real:
-        denom = abs(disc.real) * ABS_TAU + big_q
-        first = _BoundValue(square=g2 * _TAU_SQ / denom)
-    else:
-
-        def first_fn(bits: int, _dsq=disc_sq, _g2=g2) -> Interval:
-            abs_disc = Interval.from_qsqrt5(_dsq, bits).sqrt(bits)
-            denom_iv = abs_disc * Interval.from_qsqrt5(ABS_TAU, bits) + Interval.point(big_q)
-            return (Interval.from_qsqrt5(_g2 * _TAU_SQ, bits) / denom_iv).sqrt(bits)
-
-        first = _BoundValue(fn=first_fn)
-
-    second_scale = _TAU_SQ * 3 / big_p
-    if abs_gamma is not None:
-        second = _BoundValue(square=second_scale * abs_gamma)
-    else:
-
-        def second_fn(bits: int, _g2=g2) -> Interval:
-            abs_g = Interval.from_qsqrt5(_g2, bits).sqrt(bits)
-            return (Interval.from_qsqrt5(second_scale, bits) * abs_g).sqrt(bits)
-
-        second = _BoundValue(fn=second_fn)
-
-    ordering = _sign(QSqrt5(-3 * big_q), QSqrt5(big_p), g2, -3 * ABS_TAU, disc_sq)
-    return _minimum_report("second-coefficient", g, op, first, second, ordering, precision)
+    terms = _Terms(g, op)
+    lift, _, abs_disc = terms.carrier(precision, disc=True)
+    first = lift(terms.g2 * _TAU_SQ) / (abs_disc * lift(ABS_TAU) + lift(terms.q))
+    lift, abs_g, _ = terms.carrier(precision, gamma=True)
+    second = lift(_TAU_SQ * 3 / terms.p) * abs_g
+    branches = (
+        _branch_report("first", first, precision, root=True),
+        _branch_report("second", second, precision, root=True),
+    )
+    ordering = _sign(-3 * terms.q, terms.p, terms.g2, -3 * ABS_TAU, terms.disc_sq)
+    return _minimum_report("second-coefficient", g, op, branches, ordering)
 
 
 def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> BoundReport:
@@ -274,42 +249,18 @@ def bound_a3(gamma, op: OperatorParams, precision: int = DEFAULT_PRECISION) -> B
     (3 |tau| - 1) |gamma P - 3Q| + 3Q - P |gamma| is negative.
     """
     g = _coerce_gamma(gamma)
-    big_p, big_q = _numerator_params(op)
-    g2 = g.abs_squared()
-    abs_gamma = _exact_abs(g)
-    disc = g * big_p - ExactComplex(3 * big_q)
-    disc_sq = disc.abs_squared()
-
-    first_scale = _TAU_SQ * 3 / big_p
-    if abs_gamma is not None:
-        first = _BoundValue(direct=abs_gamma * first_scale)
-    else:
-        first = _BoundValue(square=g2 * first_scale * first_scale)
-
-    if abs_gamma is not None and disc.is_real:
-        numer = big_p * abs_gamma * ABS_TAU - big_q
-        denom = abs(disc.real) * ABS_TAU + big_q
-        value = (abs_gamma * ABS_TAU / big_p) * (1 + numer / denom)
-        second = _BoundValue(direct=value)
-    else:
-
-        def second_fn(bits: int, _dsq=disc_sq, _g2=g2) -> Interval:
-            abs_g = Interval.from_qsqrt5(_g2, bits).sqrt(bits)
-            abs_t = Interval.from_qsqrt5(ABS_TAU, bits)
-            abs_disc = Interval.from_qsqrt5(_dsq, bits).sqrt(bits)
-            numer_iv = Interval.point(big_p) * abs_g * abs_t - Interval.point(big_q)
-            denom_iv = abs_disc * abs_t + Interval.point(big_q)
-            one = Interval.point(Fraction(1))
-            scale = abs_g * abs_t / Interval.point(big_p)
-            return scale * (one + numer_iv / denom_iv)
-
-        second = _BoundValue(fn=second_fn)
-
-    ordering = _sign(QSqrt5(3 * big_q), QSqrt5(-big_p), g2, 3 * ABS_TAU - 1, disc_sq)
-    bracket_negative = _sign(QSqrt5(-big_q), big_p * ABS_TAU, g2) < 0
-    return _minimum_report(
-        "third-coefficient", g, op, first, second, ordering, precision, bracket_negative
+    terms = _Terms(g, op)
+    lift, abs_g, abs_disc = terms.carrier(precision, gamma=True, disc=True)
+    t, p, q, one = lift(ABS_TAU), lift(terms.p), lift(terms.q), lift(_ONE)
+    first, root = terms.times_abs_g(_TAU_SQ * 3 / terms.p)
+    second = abs_g * t / p * (one + (p * abs_g * t - q) / (abs_disc * t + q))
+    branches = (
+        _branch_report("first", first, precision, root),
+        _branch_report("second", second, precision),
     )
+    ordering = _sign(3 * terms.q, -terms.p, terms.g2, 3 * ABS_TAU - 1, terms.disc_sq)
+    bracket_negative = _sign(-terms.q, terms.p * ABS_TAU, terms.g2) < 0
+    return _minimum_report("third-coefficient", g, op, branches, ordering, bracket_negative)
 
 
 def corollary_check(which: int, grid=None, precision: int = DEFAULT_PRECISION):

@@ -25,6 +25,7 @@ from faberfib import (
     parse_scalar,
     rising_ratio,
 )
+from faberfib import bounds
 from faberfib.bounds import _sign
 
 T = (math.sqrt(5) - 1) / 2
@@ -389,6 +390,64 @@ class TestExactDecisionsAgainstIntervals:
             g = 3 * big_q / big_p  # gamma P - 3Q = 0
             assert bound_a2(g, op).branch == "tie"
             assert bound_a3(g, op).branch == "tie"
+
+
+class TestExactBranchesOverIntervals:
+    """Every exact branch, evaluated a second time over the enclosed carrier.
+
+    With no modulus counted as exact, each formula runs on intervals (and
+    a value carried directly falls back to its exact square), so the two
+    floats come from different routes and must agree within the sum of
+    their error bounds.
+    """
+
+    @staticmethod
+    def weights(op):
+        big_p, big_q = aggregates(op)
+        return [
+            ExactComplex(Fraction(2, 3)),
+            ExactComplex(Fraction(7)),
+            ExactComplex(Fraction(3, 5), Fraction(4, 5)),
+            ExactComplex(Fraction(-12, 5), Fraction(16, 5)),
+            ExactComplex(QSqrt5(Fraction(1, 2), Fraction(3, 4))),
+            ExactComplex(big_q / (big_p * ABS_TAU)),  # zero a3 bracket
+            ExactComplex(3 * big_q / big_p),  # gamma P - 3Q = 0
+        ]
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_floats_agree(self, precision, monkeypatch):
+        init = bounds._Terms.__init__
+
+        def no_exact_modulus(terms, g, op=None):
+            init(terms, g, op)
+            terms.abs_g = terms.abs_disc = None
+
+        def reports():
+            return [
+                [bound_theorem1(4, g, op, precision), bound_a2(g, op, precision),
+                 bound_a3(g, op, precision)]
+                for op in OPS for g in self.weights(op)
+            ]
+
+        exact = reports()
+        monkeypatch.setattr(bounds._Terms, "__init__", no_exact_modulus)
+        enclosed = reports()
+
+        checked = set()
+        for exact_reports, enclosed_reports in zip(exact, enclosed):
+            for a, b in zip(exact_reports, enclosed_reports):
+                for x, y in [(a, b), *zip(a.branches, b.branches)]:
+                    if x.exact is None or x.exact == y.exact:
+                        continue  # not exact, or no second route (an exact square)
+                    assert abs(x.value - y.value) <= x.error + y.error
+                    checked.add((a.kind, getattr(x, "label", None)))
+        assert checked == {
+            ("general-coefficient", None),
+            ("second-coefficient", None), ("second-coefficient", "first"),
+            ("second-coefficient", "second"),
+            ("third-coefficient", None), ("third-coefficient", "first"),
+            ("third-coefficient", "second"),
+        }
 
 
 class TestCorollaryCheck:
