@@ -67,6 +67,10 @@ MAX_FIB_COUNT = 20000
 # largest `bell --n`: the partition sum's cost grows with the partition
 # count, and at n = 40 its worst m takes about 0.6 s over Q(sqrt5, i)
 MAX_BELL_N = 40
+# largest `--precision` and `FABERFIB_PRECISION`: an enclosed bound's cost
+# grows faster than the bit count, and at 32768 bits the third-coefficient
+# bound at a complex weight takes about 0.45 s
+_MAX_PRECISION_BITS = 32768
 
 
 class _UsageError(Exception):
@@ -119,6 +123,8 @@ def _arg_precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"precision must be an integer: {text!r}") from exc
     if bits < 53:
         raise argparse.ArgumentTypeError("precision below 53 bits cannot cover a double")
+    if bits > _MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"precision must be at most {_MAX_PRECISION_BITS} bits")
     return bits
 
 
@@ -150,6 +156,8 @@ def _default_precision() -> int:
     bits = int(raw)
     if bits < 53:
         raise ValueError(f"{ENV_PRECISION} must be at least 53, got {bits}")
+    if bits > _MAX_PRECISION_BITS:
+        raise ValueError(f"{ENV_PRECISION} must be at most {_MAX_PRECISION_BITS}, got {bits}")
     return bits
 
 

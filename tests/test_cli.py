@@ -277,6 +277,11 @@ class TestExitCodes:
     def test_precision_floor(self, capsys):
         run_usage_error(capsys, "ptilde", "--order", "2", "--precision", "52")
 
+    def test_precision_budget(self, capsys):
+        assert run_cli(capsys, "fib", "--count", "2", "--precision", "32768")[0] == 0
+        error = run_usage_error(capsys, "fib", "--count", "2", "--precision", "32769")
+        assert "at most 32768" in error["message"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -388,6 +393,8 @@ class TestPrecisionEnv:
         run_usage_error(capsys, "fib", "--count", "2")
         monkeypatch.setenv("FABERFIB_PRECISION", "zebra")
         run_usage_error(capsys, "fib", "--count", "2")
+        monkeypatch.setenv("FABERFIB_PRECISION", "32769")
+        assert "at most 32768" in run_usage_error(capsys, "fib", "--count", "2")["message"]
 
 
 class TestDeterminism:

@@ -82,6 +82,11 @@ CASES = [
     (["fib", "--count", "2"], "10"),
     (["fib", "--count", "2"], "zebra"),
     (["fib", "--count", "2"], "256"),
+    # the precision budget (cli._MAX_PRECISION_BITS = 32768) and one past it
+    (["fib", "--count", "2", "--precision", "32768"], None),
+    (["fib", "--count", "2", "--precision", "32769"], None),
+    (["fib", "--count", "2"], "32768"),
+    (["fib", "--count", "2"], "32769"),
     # ptilde
     (["ptilde", "--order", "1"], None),
     (["ptilde", "--order", "6"], None),
