@@ -137,10 +137,13 @@ class MembershipReport:
     """Outcome of the two-sided subordination test at a truncation order.
 
     `map_candidate` and `inverse_candidate` are the recovered formal
-    disc self-maps for the function and its compositional inverse.  The
-    verdict is VIOLATED as soon as any exact necessary condition fails,
-    and otherwise CONSISTENT, which certifies agreement with membership
-    only up to the inspected order.
+    disc self-maps for the function and its compositional inverse.  Only
+    two necessary conditions are checked on each side, |c_1| <= 1 and
+    |c_2| <= 1 - |c_1|**2, decided exactly.  The verdict is VIOLATED as
+    soon as one fails and otherwise CONSISTENT, which says no more than
+    that these two hold: the higher coefficients up to the inspected
+    order are not tested, so a CONSISTENT map can still leave the class
+    at that order.
     """
 
     order: int
@@ -163,8 +166,9 @@ def membership_witness(
     least 3 so that the inverse side sees a nontrivial coefficient),
     takes the compositional inverse by `TruncatedSeries.revert`, forms
     both class series, recovers both formal preimages under the golden
-    generator, and checks the exact disc-map necessary conditions on
-    each.
+    generator, and checks |c_1| <= 1 and |c_2| <= 1 - |c_1|**2 on each.
+    A consistent verdict is necessary for membership through `order`,
+    not sufficient: no condition on c_3 onwards is checked.
     """
     if order is None:
         order = f.order

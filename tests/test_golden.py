@@ -278,6 +278,28 @@ def partition_sum_schwarz(subordinate):
     )
 
 
+def closed_form_schwarz(subordinate):
+    """w = (sqrt(5 P^2 - 4) - P) / (2 tau (P + 1)), sharing no recurrence with the solve.
+
+    It is the root with w(0) = 0 of tau^2 (P + 1) w^2 + tau P w + 1 - P = 0.
+    The series square root r of d = 5 P^2 - 4 (d_0 = 1) runs on
+    2 r_k = d_k - sum_{j=1}^{k-1} r_j r_{k-j}; then one reciprocal and two
+    products.
+    """
+    n = subordinate.order
+    p = TruncatedSeries(subordinate.coeffs, ExactComplex)
+    d = (p * p).scaled(5).coeffs
+    r = [ExactComplex(1)]
+    for k in range(1, n + 1):
+        acc = d[k]
+        for j in range(1, k):
+            acc = acc - r[j] * r[k - j]
+        r.append(acc / 2)
+    one = TruncatedSeries([1] + [0] * n, ExactComplex)
+    denominator = (p + one).scaled(2 * ExactComplex(TAU))
+    return (TruncatedSeries(r, ExactComplex) - p) * denominator.reciprocal()
+
+
 def rand_exact_complex(rng):
     return ExactComplex(
         QSqrt5(rand_fraction(rng, 9), rand_fraction(rng, 9)),
@@ -320,6 +342,20 @@ class TestSolveSchwarz:
         ]
         for series in cases:
             assert solve_schwarz(series) == partition_sum_schwarz(series)
+
+    def test_matches_closed_form_to_order_50(self):
+        rng = random.Random(405)
+        for order, sparse in ((12, True), (25, True), (50, False)):
+            coeffs = [ExactComplex(1)]
+            for _ in range(order):
+                if sparse:
+                    coeffs.append(rand_exact_complex(rng) / 5 if rng.random() < 0.5 else ExactComplex(0))
+                else:
+                    coeffs.append(ExactComplex(rand_fraction(rng, 9), rand_fraction(rng, 9)) / 3)
+            series = TruncatedSeries(coeffs, ExactComplex)
+            w = closed_form_schwarz(series)
+            assert w.coeffs[0] == 0
+            assert solve_schwarz(series).coeffs == w.coeffs[1:]
 
     def test_identity_preimage(self):
         candidate = solve_schwarz(golden_series(5))
