@@ -8,10 +8,26 @@ were recorded before the integer-coordinate `QSqrt5`; the Faber,
 composition and command digests before Miller's recurrence replaced the
 partition sums in `faber_polynomial` and the integer-coordinate kernel
 replaced the ring-object loop in `TruncatedSeries.compose`; the bound
-digests before each bound formula was written once over one carrier.
+digests before each bound formula was written once over one carrier; the
+order-28 witness and Schwarz digests and the `revert`, product and
+reciprocal digests before one convolution loop replaced the hand-written
+sums in `TruncatedSeries.__mul__`, `reciprocal`, `revert` and
+`solve_schwarz`.
+
+No case prints a `hash`, so the digests do not depend on
+`PYTHONHASHSEED`.  Running
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py
+
+lists each pinned case with its current digest and whether that still
+matches the stored one.  It rewrites nothing: a change that means to
+alter one of these outputs copies the new digest here and says why.
 """
 
 import hashlib
+import io
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -40,12 +56,19 @@ UPPER = [
     for n, d in [(1, 2), (-1, 3), (2, 5), (0, 1), (-3, 7), (1, 4), (5, 9), (-1, 6), (2, 11), (-4, 13), (1, 8)]
 ]
 
-# (map of order 12, class parameters); the first passes both necessary
-# conditions through order 12, the second violates them
+# a dense order-40 coefficient list with small, unrelated denominators
+INVERSE_UPPER = [Fraction((-1) ** k * (k % 7 + 1), k % 5 + 2) for k in range(39)]
+
+# (map of order 28, class parameters); the first passes both necessary
+# conditions through order 28, the second violates them.  The first 11
+# coefficients are UPPER, so orders 6 and 12 see the maps they were
+# recorded with.
+WITNESS_UPPER = UPPER + INVERSE_UPPER[11:27]
+
 WITNESS_INPUTS = {
     # |gamma|**2 = 85/441 is not a rational square: the modulus is irrational
     "irrational-modulus": (
-        NormalizedSeries.from_upper([c / 20 for c in UPPER]),
+        NormalizedSeries.from_upper([c / 20 for c in WITNESS_UPPER]),
         ClassParams(
             ExactComplex(Fraction(1, 3), Fraction(-2, 7)),
             OperatorParams(Fraction(3, 4), Fraction(1, 2)),
@@ -53,7 +76,7 @@ WITNESS_INPUTS = {
     ),
     # gamma with a sqrt5 part
     "sqrt5-gamma": (
-        NormalizedSeries.from_upper(UPPER),
+        NormalizedSeries.from_upper(WITNESS_UPPER),
         ClassParams(
             ExactComplex(QSqrt5(Fraction(1, 2), Fraction(1, 3)), Fraction(2, 3)),
             OperatorParams(Fraction(5, 4), Fraction(1, 4)),
@@ -64,8 +87,10 @@ WITNESS_INPUTS = {
 WITNESS_DIGESTS = {
     ("irrational-modulus", 6): "35b1050db239734bfbcc1c6b6c1a216a28481bd2f4371a62a0d7f78c42cefa5c",
     ("irrational-modulus", 12): "770a82b4d43d26ba04554a38ccd3b96c1bf8506f29bba91506be7a305549c821",
+    ("irrational-modulus", 28): "31ec63273c8f536c7e61ae2438351f95b06f83131e531b924412ee76bb10fe7a",
     ("sqrt5-gamma", 6): "d4bbc3778caddf6e23a8f94e074fcdadbc0d3680286944a8241eead109e8b076",
     ("sqrt5-gamma", 12): "1a5e4f3c6d1db8b66280ba1d1c500c9948d92973bb2f18b6f1825a898608e880",
+    ("sqrt5-gamma", 28): "93b91353844c35ec829d136d68bb49bfc88c8dce3fe8ff2b8e91c91cd7f66f13",
 }
 
 SCHWARZ_SERIES = TruncatedSeries(
@@ -90,11 +115,14 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def witness_report(name, order):
+    f, params = WITNESS_INPUTS[name]
+    return membership_witness(f, params, order=order)
+
+
 @pytest.mark.parametrize("name, order", sorted(WITNESS_DIGESTS))
 def test_witness_repr_pinned(name, order):
-    f, params = WITNESS_INPUTS[name]
-    report = membership_witness(f, params, order=order)
-    assert digest(report) == WITNESS_DIGESTS[name, order]
+    assert digest(witness_report(name, order)) == WITNESS_DIGESTS[name, order]
 
 
 def test_schwarz_solve_repr_pinned():
@@ -103,8 +131,107 @@ def test_schwarz_solve_repr_pinned():
     assert digest(candidate) == SCHWARZ_DIGEST
 
 
-# a dense order-28 map with small, unrelated denominators
-INVERSE_UPPER = [Fraction((-1) ** k * (k % 7 + 1), k % 5 + 2) for k in range(27)]
+FIELDS = {field.__name__: field for field in (Fraction, QSqrt5, ExactComplex)}
+
+# a second rational sequence, unrelated to INVERSE_UPPER; the larger
+# fields take it as radical and as imaginary parts
+OTHER_UPPER = [Fraction((-1) ** (k // 2) * (k % 4 + 1), k % 3 + 3) for k in range(39)]
+
+
+def field_values(field_name: str, count: int, sparse: bool = False) -> list:
+    """`count` coefficients of the named field; a sparse list keeps one in four."""
+    values = []
+    for k in range(count):
+        a, b, c = INVERSE_UPPER[k], OTHER_UPPER[k], OTHER_UPPER[-1 - k]
+        if sparse and k % 4 != 1:
+            values.append(0)
+        elif field_name == "Fraction":
+            values.append(a)
+        elif field_name == "QSqrt5":
+            values.append(QSqrt5(a, b))
+        else:
+            values.append(ExactComplex(QSqrt5(a, b), c))
+    return values
+
+
+# an order-28 series with constant term 1 and coefficients in Q(sqrt 5, i)
+SCHWARZ_SERIES_28 = TruncatedSeries([1] + field_values("ExactComplex", 28), ExactComplex)
+
+SCHWARZ_28_DIGEST = "b19ed07c5d1d752b8194786ab0556cf5227800fa58d41696ae88aa036f9864f4"
+
+
+def test_schwarz_solve_order_28_repr_pinned():
+    assert digest(solve_schwarz(SCHWARZ_SERIES_28)) == SCHWARZ_28_DIGEST
+
+
+# the dense rational order-28 map is the one `test_faber_inverse_repr_pinned`
+# inverts by Miller's recurrence, so both routes share one digest
+REVERT_DIGESTS = {
+    ("Fraction", "dense", 28): "02c995856f0131f9122f9110694e3b2fa578e6eeb4f787d1325bc3fdf21dd2ce",
+    ("Fraction", "dense", 40): "b6ca47e76875fc3fd276e471406049fa142495fc58d7fd9a70178bbc20c449cc",
+    ("Fraction", "sparse", 28): "1b6aa0e84aedfe05ebb2dbc1ff371ab7c88bffccc6ad19c339fe935931b9b6d8",
+    ("Fraction", "sparse", 40): "b455974c6afdbd62be1e012a2d9054c5189994663f541ef0c6d8f7a819a1f997",
+    ("QSqrt5", "dense", 28): "8b7e50a29ca3e0ac07ae2da60661cf57e29d2162b2f9406d4c75d4abc2e960fd",
+    ("QSqrt5", "dense", 40): "41f875240a3a132eb6a366e8e7c4da58463d48479e318bd4fbdc434b530c331d",
+    ("QSqrt5", "sparse", 28): "ed3e08fbcc4d6d37347a51110bc052fd4b8103980f2a6ad5d30b87899257bfa1",
+    ("QSqrt5", "sparse", 40): "b38428b37e46816d51884f958223e2dd9e9dabb71f918ad4f1ae83ee20571b5c",
+    ("ExactComplex", "dense", 28): "f203b727030abb2215582a4ea9d0e22a960ee8386089bbd7bd3f6ac105e9ff78",
+    ("ExactComplex", "dense", 40): "fcfe1e5d25f0d128288f9a27a1b4812d78bbcc508da0d71944a37c8132e4e4d8",
+    ("ExactComplex", "sparse", 28): "2a2d0889836fccdb85cadde9475669a95095922b63a3f233e8a718712523f125",
+    ("ExactComplex", "sparse", 40): "8fedf259cb69966d4a449667e13f4398ef6740c645aba689219b8aba34006bb0",
+}
+
+
+def reverted(field_name: str, shape: str, order: int):
+    upper = field_values(field_name, order - 1, sparse=shape == "sparse")
+    return NormalizedSeries.from_upper(upper, FIELDS[field_name]).revert()
+
+
+@pytest.mark.parametrize("field_name, shape, order", sorted(REVERT_DIGESTS))
+def test_revert_repr_pinned(field_name, shape, order):
+    assert digest(reverted(field_name, shape, order)) == REVERT_DIGESTS[field_name, shape, order]
+
+
+def order_20_pair(field_name: str):
+    """A dense series with constant term 1, and a sparse one with a zero constant term."""
+    field = FIELDS[field_name]
+    dense = TruncatedSeries([1] + field_values(field_name, 20), field)
+    sparse = TruncatedSeries(field_values(field_name, 21, sparse=True)[::-1], field)
+    return dense, sparse
+
+
+def product(field_name: str):
+    dense, sparse = order_20_pair(field_name)
+    return dense * sparse
+
+
+def reciprocal(field_name: str):
+    dense, _ = order_20_pair(field_name)
+    return dense.reciprocal()
+
+
+PRODUCT_DIGESTS = {
+    "Fraction": "7967b9931bfb75d9b4022092ed2bceead3f1adcc60a0d99e600f03293e066dc4",
+    "QSqrt5": "ec3bc1b32ea3f562c20e129dd84e93b635980bae37b9c8bd516de03c2c4ae04d",
+    "ExactComplex": "8f3b84f539d3b926bad370575a5210ffb0f6b2f8ddbb497745b65263af2d5008",
+}
+
+RECIPROCAL_DIGESTS = {
+    "Fraction": "f563824d894641a01bed700b95a69a9656425105655095b26d9e66385f0abb30",
+    "QSqrt5": "e97752390c58907cdd64795e67acb3179eb8a980ba80c52b488bdb44c0b7894f",
+    "ExactComplex": "062b701ddf74944ef934caae21ee13edbe286318728bab55125dc038e4fcaddb",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(PRODUCT_DIGESTS))
+def test_product_repr_pinned(field_name):
+    assert digest(product(field_name)) == PRODUCT_DIGESTS[field_name]
+
+
+@pytest.mark.parametrize("field_name", sorted(RECIPROCAL_DIGESTS))
+def test_reciprocal_repr_pinned(field_name):
+    assert digest(reciprocal(field_name)) == RECIPROCAL_DIGESTS[field_name]
+
 
 INVERSE_DIGESTS = {
     20: "72e2a57f0c8e861a58d40feff99592fc7503ebb35d9a6724f42c82c71714b762",
@@ -112,10 +239,13 @@ INVERSE_DIGESTS = {
 }
 
 
+def faber_inverse(order):
+    return faber_inverse_coefficients(NormalizedSeries.from_upper(INVERSE_UPPER[: order - 1]))
+
+
 @pytest.mark.parametrize("order", sorted(INVERSE_DIGESTS))
 def test_faber_inverse_repr_pinned(order):
-    f = NormalizedSeries.from_upper(INVERSE_UPPER[: order - 1])
-    assert digest(faber_inverse_coefficients(f)) == INVERSE_DIGESTS[order]
+    assert digest(faber_inverse(order)) == INVERSE_DIGESTS[order]
 
 
 FABER_INPUTS = {
@@ -132,23 +262,30 @@ FABER_DIGESTS = {
 }
 
 
+def faber_values(field):
+    a = FABER_INPUTS[field]
+    return [faber_polynomial(n, p, a) for n in (1, 4, 10) for p in (-11, -4, 0, 1, 2, 9)]
+
+
 @pytest.mark.parametrize("field", [Fraction, QSqrt5, ExactComplex], ids=lambda f: f.__name__)
 def test_faber_polynomial_repr_pinned(field):
-    a = FABER_INPUTS[field]
-    values = [faber_polynomial(n, p, a) for n in (1, 4, 10) for p in (-11, -4, 0, 1, 2, 9)]
-    assert digest(values) == FABER_DIGESTS[field]
+    assert digest(faber_values(field)) == FABER_DIGESTS[field]
 
 
 COMPOSE_DIGEST = "8fe15ca89035fa23883b240ebde67c4dfe29ed2e0ee214abf914a3d428792b1d"
 
 
-def test_golden_compose_repr_pinned():
+def golden_composed():
     # the witness check's pairing: the Q(sqrt 5) generator series composed
     # with an ExactComplex disc map
     w = TruncatedSeries(
         [ExactComplex(0), *SCHWARZ_SERIES.coeffs[1:], *SCHWARZ_SERIES.coeffs[1:4]], ExactComplex
     )
-    assert digest(golden_series(11).compose(w)) == COMPOSE_DIGEST
+    return golden_series(11).compose(w)
+
+
+def test_golden_compose_repr_pinned():
+    assert digest(golden_composed()) == COMPOSE_DIGEST
 
 
 COMMAND_DIGESTS = {
@@ -167,11 +304,16 @@ COMMAND_DIGESTS = {
 }
 
 
+def command_stdout_digest(*argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", sorted(COMMAND_DIGESTS), ids=lambda a: a[0])
-def test_command_stdout_pinned(argv, capsys):
-    assert main(list(argv)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[argv]
+def test_command_stdout_pinned(argv):
+    assert command_stdout_digest(*argv) == COMMAND_DIGESTS[argv]
 
 
 BOUND_OPS = [
@@ -245,3 +387,47 @@ def bound_reports(weight: str, precision: int) -> list:
 @pytest.mark.parametrize("weight, precision", sorted(BOUND_DIGESTS))
 def test_bound_reports_repr_pinned(weight, precision):
     assert digest(bound_reports(weight, precision)) == BOUND_DIGESTS[weight, precision]
+
+
+def repr_digest(compute):
+    return lambda *key: digest(compute(*key))
+
+
+# (test, its stored digests by parameters, the current digest of one case)
+PINS = [
+    ("test_witness_repr_pinned", WITNESS_DIGESTS, repr_digest(witness_report)),
+    ("test_schwarz_solve_repr_pinned", {(): SCHWARZ_DIGEST}, lambda: digest(solve_schwarz(SCHWARZ_SERIES))),
+    (
+        "test_schwarz_solve_order_28_repr_pinned",
+        {(): SCHWARZ_28_DIGEST},
+        lambda: digest(solve_schwarz(SCHWARZ_SERIES_28)),
+    ),
+    ("test_revert_repr_pinned", REVERT_DIGESTS, repr_digest(reverted)),
+    ("test_product_repr_pinned", PRODUCT_DIGESTS, repr_digest(product)),
+    ("test_reciprocal_repr_pinned", RECIPROCAL_DIGESTS, repr_digest(reciprocal)),
+    ("test_faber_inverse_repr_pinned", INVERSE_DIGESTS, repr_digest(faber_inverse)),
+    ("test_faber_polynomial_repr_pinned", FABER_DIGESTS, repr_digest(faber_values)),
+    ("test_golden_compose_repr_pinned", {(): COMPOSE_DIGEST}, repr_digest(golden_composed)),
+    ("test_command_stdout_pinned", COMMAND_DIGESTS, command_stdout_digest),
+    ("test_bound_reports_repr_pinned", BOUND_DIGESTS, repr_digest(bound_reports)),
+]
+
+
+def case_label(test: str, key) -> str:
+    parts = key if isinstance(key, tuple) else (key,)
+    return f"{test}[{'-'.join(getattr(part, '__name__', str(part)) for part in parts)}]"
+
+
+if __name__ == "__main__":
+    moved = 0
+    for test, stored, current in PINS:
+        for key, expected in stored.items():
+            now = current(*key) if isinstance(key, tuple) else current(key)
+            moved += now != expected
+            print(f"{'ok' if now == expected else 'CHANGED'} {now} {case_label(test, key)}")
+    print(f"{moved} of {sum(len(stored) for _, stored, _ in PINS)} pinned cases changed", file=sys.stderr)
+
+
+def test_report_lists_every_pinned_test():
+    pinned_tests = [name for name in globals() if name.startswith("test_") and name.endswith("_pinned")]
+    assert sorted(test for test, _, _ in PINS) == sorted(pinned_tests)
