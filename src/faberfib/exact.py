@@ -53,6 +53,45 @@ def _rational_terms(x):
     raise TypeError(f"exact scalars take int or Fraction components, not {type(x).__name__}")
 
 
+# -- operators QSqrt5 and ExactComplex share, each through its class's _coerce
+
+
+def _rsub(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return o - self
+
+
+def _truediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return self * o.inverse()
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return o * self.inverse()
+
+
+def _power(base, exponent):
+    if not isinstance(exponent, int):
+        return NotImplemented
+    if exponent < 0:
+        return base.inverse() ** (-exponent)
+    result = type(base)(1)
+    e = exponent
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
 @total_ordering
 class QSqrt5:
     """An element (a + b*sqrt(5))/d of the real quadratic field Q(sqrt 5).
@@ -119,11 +158,7 @@ class QSqrt5:
             return _reduced(self._a - o._a, self._b - o._b, d)
         return _reduced(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -159,32 +194,11 @@ class QSqrt5:
             return _reduced(-d * a, d * b, -n)
         return _reduced(d * a, -d * b, n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    __truediv__ = _truediv
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __rtruediv__ = _rtruediv
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QSqrt5(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    __pow__ = _power
 
     # -- exact order ----------------------------------------------------
 
@@ -199,14 +213,11 @@ class QSqrt5:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: compare a**2 with 5*b**2, won by the larger magnitude
-        cmp = a * a - 5 * b * b
+        # opposite signs: the larger of a**2 and 5*b**2 wins (never equal for b != 0)
         dominant = 1 if a > 0 else -1  # sign if |a| > |b|sqrt5
-        if cmp > 0:
+        if a * a > 5 * b * b:
             return dominant
-        if cmp < 0:
-            return -dominant
-        return 0  # impossible for b != 0, kept for completeness
+        return -dominant
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -254,8 +265,6 @@ class QSqrt5:
         """
         if self._b == 0:
             return self._a / self._d
-        if self.sign() == 0:
-            return 0.0
         bits = 128
         while True:
             iv = Interval.from_qsqrt5(self, bits)
@@ -334,11 +343,7 @@ class ExactComplex:
             return NotImplemented
         return ExactComplex(self._re - o._re, self._im - o._im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -368,32 +373,11 @@ class ExactComplex:
         conj = self.conjugate()
         return ExactComplex(conj._re / m, conj._im / m)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+    __truediv__ = _truediv
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __rtruediv__ = _rtruediv
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ExactComplex(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    __pow__ = _power
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -479,20 +463,12 @@ def _sqrt5_interval(bits: int) -> "Interval":
     return Interval(Fraction(s, scale), Fraction(s + 1, scale))
 
 
-def _sqrt_lower(q: Fraction, bits: int) -> Fraction:
+def _sqrt_bound(q: Fraction, bits: int, upper: bool) -> Fraction:
     if q == 0:
         return Fraction(0)
     n, d = q.numerator, q.denominator
     s = math.isqrt((n * d) << (2 * bits))
-    return Fraction(s, d << bits)
-
-
-def _sqrt_upper(q: Fraction, bits: int) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    s = math.isqrt((n * d) << (2 * bits))
-    return Fraction(s + 1, d << bits)
+    return Fraction(s + 1 if upper else s, d << bits)
 
 
 class Interval:
@@ -555,7 +531,7 @@ class Interval:
         if self.hi < 0:
             raise ValueError("square root of a negative interval")
         lo = self.lo if self.lo > 0 else Fraction(0)
-        return Interval(_sqrt_lower(lo, bits), _sqrt_upper(self.hi, bits))
+        return Interval(_sqrt_bound(lo, bits, upper=False), _sqrt_bound(self.hi, bits, upper=True))
 
     @property
     def mid(self) -> Fraction:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactComplex, QSqrt5
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _convolve
 
 __all__ = [
     "TAU",
@@ -192,18 +192,6 @@ class SchwarzCandidate:
         return self.c1_within_unit and self.c2_within_margin
 
 
-def _convolve(left, right, lo: int, hi: int, k: int) -> ExactComplex:
-    """sum_{j=lo}^{hi} left[j] * right[k-j], skipping zero factors."""
-    total = ExactComplex(0)
-    for j in range(lo, hi + 1):
-        a = left[j]
-        if a:
-            b = right[k - j]
-            if b:
-                total = total + a * b
-    return total
-
-
 def solve_schwarz(subordinate: TruncatedSeries) -> SchwarzCandidate:
     """Invert P(z) = generator(w(z)) for the coefficients of w, order by order.
 
@@ -231,13 +219,14 @@ def solve_schwarz(subordinate: TruncatedSeries) -> SchwarzCandidate:
     tau_inverse = ExactComplex(TAU - 1)
     p = [ExactComplex(c) for c in subordinate.coeffs]
     q = [ExactComplex(2)] + p[1:]
+    zero = ExactComplex(0)
     # c and s are indexed from 0 so that c[j], s[j] are the z^j coefficients
-    c = [ExactComplex(0)] * (n + 1)
-    s = [ExactComplex(0)] * (n + 1)
+    c = [zero] * (n + 1)
+    s = [zero] * (n + 1)
     for k in range(1, n + 1):
-        s[k] = _convolve(c, c, 1, k - 1, k)
-        linear = _convolve(p, c, 1, k - 1, k)
-        quadratic = _convolve(q, s, 0, k - 2, k)
+        s[k] = _convolve(c, c, 1, k - 1, k, zero)
+        linear = _convolve(p, c, 1, k - 1, k, zero)
+        quadratic = _convolve(q, s, 0, k - 2, k, zero)
         c[k] = p[k] * tau_inverse - linear - tau * quadratic
     coeffs = c[1:]
 

@@ -80,6 +80,18 @@ def _scaled(coordinates, factor: int):
     return tuple(x * factor for x in coordinates)
 
 
+def _convolve(left, right, lo: int, hi: int, k: int, zero):
+    """zero + sum_{j=lo}^{hi} left[j] * right[k-j], skipping zero factors."""
+    total = zero
+    for j in range(lo, hi + 1):
+        a = left[j]
+        if a:
+            b = right[k - j]
+            if b:
+                total = total + a * b
+    return total
+
+
 class TruncatedSeries:
     """Coefficients c_0 .. c_N of a power series truncated at order N."""
 
@@ -141,16 +153,9 @@ class TruncatedSeries:
                 f"truncation orders differ: {self.order} vs {other.order}"
             )
         field = join_field(self.field, other.field)
-        n = self.order
         zero = field(0)
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        a, b = self.coeffs, other.coeffs
+        out = [_convolve(a, b, 0, k, k, zero) for k in range(self.order + 1)]
         return TruncatedSeries(out, field)
 
     def __rmul__(self, other):
@@ -217,15 +222,10 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no reciprocal")
-        one = self.field(1)
-        out = [one / c0]
+        zero = self.field(0)
+        out = [self.field(1) / c0]
         for n in range(1, self.order + 1):
-            acc = self.field(0)
-            for i in range(1, n + 1):
-                ci = self.coeffs[i]
-                if ci:
-                    acc = acc + ci * out[n - i]
-            out.append(-acc / c0)
+            out.append(-_convolve(self.coeffs, out, 1, n, n, zero) / c0)
         return TruncatedSeries(out, self.field)
 
     def revert(self) -> "NormalizedSeries":
@@ -253,15 +253,7 @@ class TruncatedSeries:
         for k in range(2, n + 1):
             residue = zero
             for m in range(2, k + 1):
-                lower = powers[m - 1]
-                entry = zero
-                for i in range(1, k - m + 2):
-                    gi = g[i]
-                    if gi:
-                        power = lower[k - i]
-                        if power:
-                            entry = entry + gi * power
-                powers[m][k] = entry
+                powers[m][k] = entry = _convolve(g, powers[m - 1], 1, k - m + 1, k, zero)
                 cm = self.coeffs[m]
                 if cm and entry:
                     residue = residue + cm * entry
