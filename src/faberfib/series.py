@@ -38,6 +38,18 @@ def join_field(first, second):
         ) from None
 
 
+def _convolve(left, right, lo: int, hi: int, k: int, zero):
+    """zero + sum_{j=lo}^{hi} left[j] * right[k-j], skipping zero factors."""
+    total = zero
+    for j in range(lo, hi + 1):
+        a = left[j]
+        if a:
+            b = right[k - j]
+            if b:
+                total = total + a * b
+    return total
+
+
 # -- product rules on integer coordinates ------------------------------------
 #
 # Each rule is the sum of products of two equally long lists of coordinates
@@ -78,18 +90,6 @@ def _scaled(coordinates, factor: int):
     if type(coordinates) is int:
         return coordinates * factor
     return tuple(x * factor for x in coordinates)
-
-
-def _convolve(left, right, lo: int, hi: int, k: int, zero):
-    """zero + sum_{j=lo}^{hi} left[j] * right[k-j], skipping zero factors."""
-    total = zero
-    for j in range(lo, hi + 1):
-        a = left[j]
-        if a:
-            b = right[k - j]
-            if b:
-                total = total + a * b
-    return total
 
 
 class TruncatedSeries:
