@@ -12,7 +12,8 @@ digests before each bound formula was written once over one carrier; the
 order-28 witness and Schwarz digests and the `revert`, product and
 reciprocal digests before one convolution loop replaced the hand-written
 sums in `TruncatedSeries.__mul__`, `reciprocal`, `revert` and
-`solve_schwarz`.
+`solve_schwarz`; the large-height `revert` digests before `revert` moved
+from field arithmetic onto integer coordinates.
 
 No case prints a `hash`, so the digests do not depend on
 `PYTHONHASHSEED`.  Running
@@ -179,11 +180,28 @@ REVERT_DIGESTS = {
     ("ExactComplex", "dense", 40): "fcfe1e5d25f0d128288f9a27a1b4812d78bbcc508da0d71944a37c8132e4e4d8",
     ("ExactComplex", "sparse", 28): "2a2d0889836fccdb85cadde9475669a95095922b63a3f233e8a718712523f125",
     ("ExactComplex", "sparse", 40): "8fedf259cb69966d4a449667e13f4398ef6740c645aba689219b8aba34006bb0",
+    # large heights: the dense order-20 map over TOP_DENOMINATOR at z^20 only,
+    # and over the DISTINCT_DENOMINATORS at z^2 .. z^20
+    ("Fraction", "top-200-digit", 20): "5a9d870da7f3c3befb9aecbb3850a68a719a43055afa5aa171a95bf6feeb10df",
+    ("Fraction", "distinct-30-digit", 20): "d6f314ef9d69fe7d73e15d15b4ff37c123dd3b28c0ffccc609c766cfd67c6cf6",
+    ("QSqrt5", "top-200-digit", 20): "cea235e0d7072d05c157659fb5894c831b8b45c47bade821294542314955c8d4",
+    ("QSqrt5", "distinct-30-digit", 20): "1c02f5e7665fd0e50b0e28067090878e00f7580ed2fd55916ba6f2fed12c99e8",
+    ("ExactComplex", "top-200-digit", 20): "416eb2f5c3cc2a6e20359771acf90977f68e14abd9d879c39745adc27d35166d",
+    ("ExactComplex", "distinct-30-digit", 20): "7fa41a0b3fc7f752c7c770e00e52234238f9cad2ea61212d291938a595493fff",
 }
+
+
+# a 200-digit denominator, and 19 distinct 30-digit ones
+TOP_DENOMINATOR = 10**199 + 153
+DISTINCT_DENOMINATORS = [10**29 + 2 * k + 1 for k in range(19)]
 
 
 def reverted(field_name: str, shape: str, order: int):
     upper = field_values(field_name, order - 1, sparse=shape == "sparse")
+    if shape == "top-200-digit":
+        upper[-1] *= Fraction(1, TOP_DENOMINATOR)
+    elif shape == "distinct-30-digit":
+        upper = [c * Fraction(1, den) for c, den in zip(upper, DISTINCT_DENOMINATORS)] + upper[19:]
     return NormalizedSeries.from_upper(upper, FIELDS[field_name]).revert()
 
 
