@@ -417,11 +417,11 @@ class ExactComplex:
 
 # -- integer coordinates over a shared denominator ---------------------------
 #
-# Integer kernels inside the package (series composition) take a list of
-# values of one field over one shared denominator d, each value as its
-# coordinates: an int x for x/d in Q, (a, b) for (a + b*sqrt5)/d in
-# Q(sqrt 5), and (a, b, c, e) for ((a + b*sqrt5) + (c + e*sqrt5)*i)/d in
-# Q(sqrt 5, i).
+# Integer kernels inside the package (series composition and reversion)
+# take a list of values of one field over one shared denominator d, each
+# value as its coordinates: an int x for x/d in Q, (a, b) for
+# (a + b*sqrt5)/d in Q(sqrt 5), and (a, b, c, e) for
+# ((a + b*sqrt5) + (c + e*sqrt5)*i)/d in Q(sqrt 5, i).
 
 
 def _integer_coordinates(values, field):

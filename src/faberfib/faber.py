@@ -8,7 +8,10 @@ over whatever exact field the inputs share.  Through Lagrange inversion,
 b_n = (1/n) [z^{n-1}] (f(z)/z)^{-n}, it gives the coefficients of a
 compositional inverse without running a series reversion, in O(N^3)
 operations at order N; that is the second, independent route the tests
-play against `TruncatedSeries.revert`.
+play against `TruncatedSeries.revert`.  It stays on field arithmetic on
+purpose: `revert` runs on integer coordinates, and a route that shares
+neither that kernel nor its rescaling is what makes the check
+independent.
 
 `partial_bell(n, m, u)` is the coefficient of z^n in
 (u_1 z + ... + u_n z^n)^m, written as the classical sum over partitions

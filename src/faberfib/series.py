@@ -231,33 +231,48 @@ class TruncatedSeries:
     def revert(self) -> "NormalizedSeries":
         """Compositional inverse g with self(g(w)) = w, solved order by order.
 
-        Requires a normalized series (c_0 = 0, c_1 = 1).  The order-k
-        coefficient of self(g) is g_k plus terms in g_1 .. g_{k-1}, so
+        Requires a normalized series f = self (c_0 = 0, c_1 = 1).  With
+        f written over its least common denominator d as coordinates c_k
+        (see `compose`), the rescaled map F(z) = f(d*z)/d has the ring
+        coefficients F_k = c_k * d**(k-2), F_1 = 1, in Z, Z[sqrt5] or
+        Z[sqrt5, i].  Its inverse G(w) = g(d*w)/d is then integral too,
+        and g_k = G_k / d**(k-1).  The order-k coefficient of F(G) is
+        G_k plus terms in G_1 .. G_{k-1}, so
 
-            g_k = -sum_{m=2}^{k} c_m [z^k] g^m.
+            G_k = -sum_{m=2}^{k} F_m [z^k] G^m.
 
-        The powers of g are kept as a table filled one column k at a
-        time through [z^k] g^m = sum_{i=1}^{k-m+1} g_i [z^{k-i}] g^{m-1},
-        which needs only columns already filled.  Zero coefficients are
-        skipped.  The cost is O(N^3) field operations at order N, and no
-        series is composed.
+        The powers of G are kept as a table filled one column k at a
+        time through [z^k] G^m = sum_{i=1}^{k-m+1} G_i [z^{k-i}] G^{m-1},
+        which needs only columns already filled.  Each table entry and
+        each residue is one dot product by the field's product rule on
+        coordinates, O(N^3) coordinate products at order N, and each g_k
+        is reduced once, at the end; no field element is built in the
+        loop.  The rescaling makes F_k and G_k about (k-1)*bits(d) bits
+        high, so one large denominator, even at the top index alone,
+        raises the cost of every column.
         """
         if not self.is_normalized:
             raise ValueError("compositional inverse requires c_0 = 0 and c_1 = 1")
         field = self.field
+        dot = _PRODUCT_RULES[field]
+        c, d = _integer_coordinates(self.coeffs, field)
         n = self.order
-        zero = field(0)
-        g = [zero, field(1)] + [zero] * (n - 1)
-        # powers[m][j] = [z^j] g^m; row 1 is g itself, row 0 is never read
-        powers = [None, g] + [[zero] * (n + 1) for _ in range(n - 1)]
+        one = _integer_coordinates([field(1)], field)[0][0]
+        # the coordinates F_k and G_k; F_0, F_1 and G_0 are never read
+        rescaled = [None, None] + [_scaled(c[k], d ** (k - 2)) for k in range(2, n + 1)]
+        inverse = [None, one] + [None] * (n - 1)
+        # powers[m][j] = [z^j] G^m for j >= m; row 1 is G itself, row 0 is never read
+        powers = [None, inverse] + [[None] * (n + 1) for _ in range(n - 1)]
         for k in range(2, n + 1):
-            residue = zero
             for m in range(2, k + 1):
-                powers[m][k] = entry = _convolve(g, powers[m - 1], 1, k - m + 1, k, zero)
-                cm = self.coeffs[m]
-                if cm and entry:
-                    residue = residue + cm * entry
-            g[k] = -residue
+                powers[m][k] = dot(inverse[1 : k - m + 2], powers[m - 1][k - 1 : m - 2 : -1])
+            residue = dot(rescaled[2 : k + 1], [powers[m][k] for m in range(2, k + 1)])
+            inverse[k] = _scaled(residue, -1)
+        g = [field(0), field(1)]
+        scale = 1
+        for k in range(2, n + 1):
+            scale *= d
+            g += _from_integer_coordinates([inverse[k]], scale, field)
         return NormalizedSeries(g, field)
 
     def __eq__(self, other):
