@@ -261,6 +261,61 @@ class TestComposeAgainstRingHorner:
             assert type(result.coeffs[0]) is field
 
 
+# a 200-digit denominator, and 19 distinct 30-digit ones
+TOP_DENOMINATOR = 10**199 + 153
+DISTINCT_DENOMINATORS = [10**29 + 2 * k + 1 for k in range(19)]
+
+
+def ring_value(rng, field):
+    """A small nonzero element of Z, Z[sqrt5] or Z[sqrt5, i]."""
+    a = rng.choice((-3, -2, -1, 1, 2, 3))
+    b, c, e = (rng.randint(-3, 3) for _ in range(3))
+    if field is Fraction:
+        return Fraction(a)
+    if field is QSqrt5:
+        return QSqrt5(a, b)
+    return ExactComplex(QSqrt5(a, b), QSqrt5(c, e))
+
+
+def half_value(rng, field):
+    """A value over the denominator 2: a/2, or (a + b*sqrt5)/2 like tau, a and b odd."""
+    a, b = 2 * rng.randint(-2, 2) + 1, 2 * rng.randint(-2, 2) + 1
+    if field is Fraction:
+        return Fraction(a, 2)
+    tau_like = QSqrt5(Fraction(a, 2), Fraction(b, 2))
+    if field is QSqrt5:
+        return tau_like
+    return ExactComplex(tau_like, QSqrt5(Fraction(b, 2), Fraction(a, 2)))
+
+
+def rescaling_inputs(field, order):
+    """Named lists a_2 .. a_order that give the rescaling z -> d*z different d.
+
+    The two large-height lists stop at order 15: at order 28 the 19
+    distinct denominators make d about 570 digits and G_28 about 15000,
+    and one field takes seconds on either route (4.5 s for `revert` over
+    Q(sqrt 5, i)).  The order-20 `revert` pins cover both lists over all
+    three fields.
+    """
+    rng = random.Random(250 + order)
+    count = order - 1
+    ring = [ring_value(rng, field) for _ in range(count)]
+    inputs = {
+        "integer": ring,
+        "half": [half_value(rng, field) for _ in range(count)],
+    }
+    if 2 <= order <= 15:
+        inputs["top-200-digit"] = ring[:-1] + [ring[-1] * Fraction(1, TOP_DENOMINATOR)]
+        inputs["distinct-30-digit"] = [
+            c * Fraction(1, den) for c, den in zip(ring, DISTINCT_DENOMINATORS)
+        ]
+    if field is ExactComplex:
+        inputs["imaginary"] = [
+            ExactComplex(0, QSqrt5(rand_fraction(rng), rand_fraction(rng))) for _ in range(count)
+        ]
+    return inputs
+
+
 class TestRevert:
     def test_geometric_example(self):
         f = NormalizedSeries.from_upper([Fraction(1), Fraction(1), Fraction(1)])
@@ -307,75 +362,20 @@ class TestRevert:
             assert g == faber_inverse_coefficients(f)
             assert f.compose(g) == ident
 
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 15, 28])
+    def test_matches_faber_route_across_denominators(self, field, order):
+        for name, upper in rescaling_inputs(field, order).items():
+            f = NormalizedSeries.from_upper(upper, field)
+            g = f.revert()
+            assert g.field is field, name
+            assert repr(g) == repr(faber_inverse_coefficients(f)), name
+
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
             TruncatedSeries([0, 2, 1]).revert()
         with pytest.raises(ValueError):
             TruncatedSeries([1, 1, 1]).revert()
-
-
-# a 200-digit denominator, and 19 distinct 30-digit ones
-TOP_DENOMINATOR = 10**199 + 153
-DISTINCT_DENOMINATORS = [10**29 + 2 * k + 1 for k in range(19)]
-
-
-def ring_value(rng, field):
-    """A small nonzero element of Z, Z[sqrt5] or Z[sqrt5, i]."""
-    a = rng.choice((-3, -2, -1, 1, 2, 3))
-    b, c, e = (rng.randint(-3, 3) for _ in range(3))
-    if field is Fraction:
-        return Fraction(a)
-    if field is QSqrt5:
-        return QSqrt5(a, b)
-    return ExactComplex(QSqrt5(a, b), QSqrt5(c, e))
-
-
-def half_value(rng, field):
-    """A value over the denominator 2, in Z[tau] but not Z[sqrt5] past Q."""
-    a, b = 2 * rng.randint(-2, 2) + 1, 2 * rng.randint(-2, 2) + 1
-    if field is Fraction:
-        return Fraction(a, 2)
-    tau_like = QSqrt5(Fraction(a, 2), Fraction(b, 2))
-    return tau_like if field is QSqrt5 else ExactComplex(tau_like, QSqrt5(Fraction(b, 2), Fraction(a, 2)))
-
-
-def rescaling_inputs(field, order):
-    """Named lists a_2 .. a_order that give the rescaling z -> d*z different d.
-
-    The two large-height lists stop at order 15: at order 28 the 19
-    distinct denominators make d 570 digits and G_28 about 15000, some
-    seconds a field on either route.  The order-20 `revert` pins cover
-    both of them over all three fields.
-    """
-    rng = random.Random(250 + order)
-    count = order - 1
-    ring = [ring_value(rng, field) for _ in range(count)]
-    inputs = {
-        "integer": ring,
-        "half": [half_value(rng, field) for _ in range(count)],
-    }
-    if 2 <= order <= 15:
-        inputs["top-200-digit"] = ring[:-1] + [ring[-1] * Fraction(1, TOP_DENOMINATOR)]
-        inputs["distinct-30-digit"] = [
-            c * Fraction(1, den) for c, den in zip(ring, DISTINCT_DENOMINATORS)
-        ]
-    if field is ExactComplex:
-        inputs["imaginary"] = [
-            ExactComplex(0, QSqrt5(rand_fraction(rng), rand_fraction(rng))) for _ in range(count)
-        ]
-    return inputs
-
-
-class TestRevertAgainstFaberRoute:
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("order", [1, 2, 3, 7, 15, 28])
-    def test_rescaling_stress(self, field, order):
-        for name, upper in rescaling_inputs(field, order).items():
-            f = NormalizedSeries.from_upper(upper, field)
-            g = f.revert()
-            expected = faber_inverse_coefficients(f)
-            assert g.field is field, name
-            assert repr(g) == repr(expected), name
 
 
 class TestDerivative:
