@@ -13,7 +13,9 @@ order-28 witness and Schwarz digests and the `revert`, product and
 reciprocal digests before one convolution loop replaced the hand-written
 sums in `TruncatedSeries.__mul__`, `reciprocal`, `revert` and
 `solve_schwarz`; the large-height `revert` digests before `revert` moved
-from field arithmetic onto integer coordinates.
+from field arithmetic onto integer coordinates; the 1024-bit bound
+digests and the `to_float` digests before `Interval` moved from
+Fraction endpoints onto unreduced integer ones.
 
 No case prints a `hash`, so the digests do not depend on
 `PYTHONHASHSEED`.  Running
@@ -27,6 +29,7 @@ alter one of these outputs copies the new digest here and says why.
 
 import hashlib
 import io
+import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -49,6 +52,7 @@ from faberfib import (
     golden_series,
     membership_witness,
     solve_schwarz,
+    to_float,
 )
 from faberfib.cli import main
 
@@ -390,6 +394,17 @@ BOUND_DIGESTS = {
     ("vanishing-discriminant", 53): "1555fd74e2397c0dfb9250a5110360474a624cdbca6998da9e1d03ac65661f15",
     ("vanishing-discriminant", 128): "47eee417736c211d96ebfb62504edf74440a64b6a27659f1455c660d86f440b9",
     ("vanishing-discriminant", 256): "47eee417736c211d96ebfb62504edf74440a64b6a27659f1455c660d86f440b9",
+    # at 1024 bits the enclosures' endpoints carry thousands of bits; the
+    # reports equal those at 128 bits, where the 2**-52 rounding slack
+    # already dominates every error bound
+    ("rational", 1024): "ff69d17b04427a9b8323134b90e29f75e491199efd84805277f737a42933c5fc",
+    ("pythagorean", 1024): "5cd1c163b467a68a4a71da2dc2f1dd470b417cdcc727b23c3b5e4b6b35e4cf91",
+    ("irrational-modulus", 1024): "fb0cd0fda34a3d20d10b6f5dad55c195a247431cb1735e5d6be2979f31e0b7fd",
+    ("sqrt5-complex", 1024): "6ca89e56afe0cf85d2bdc1572f2be5bfdcc6cb0d90098b3321504420a8a53bdb",
+    ("sqrt5-real", 1024): "672fd7a8b3bccae48c624b2ba47044db756a1c0168f19336a10d12b0cce48c96",
+    ("zero-bracket", 1024): "0c2c78a322364ec5f4cb27db7008582d936de57483c95183ebeb4d5fb759c4d6",
+    ("zero-bracket-rotated", 1024): "fbdb0e9cb8d9c7060e35e5e7f70aee18d382c24d68cc11079c7123fa034b4e65",
+    ("vanishing-discriminant", 1024): "47eee417736c211d96ebfb62504edf74440a64b6a27659f1455c660d86f440b9",
 }
 
 
@@ -405,6 +420,36 @@ def bound_reports(weight: str, precision: int) -> list:
 @pytest.mark.parametrize("weight, precision", sorted(BOUND_DIGESTS))
 def test_bound_reports_repr_pinned(weight, precision):
     assert digest(bound_reports(weight, precision)) == BOUND_DIGESTS[weight, precision]
+
+
+def float_values() -> list:
+    """20 seeded values of Q(sqrt 5, i) whose parts run from one digit to 200 digits."""
+    rng = random.Random(2027)
+
+    def part(digits):
+        return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+
+    values = []
+    for k in range(20):
+        digits = (1, 6, 30, 200)[k % 4]
+        re = QSqrt5(part(digits), part(digits) if k % 5 else 0)
+        values.append(ExactComplex(re, QSqrt5(part(digits), part(digits)) if k % 3 else 0))
+    return values
+
+
+def floats(precision: int) -> list:
+    return [to_float(x, precision) for x in float_values()]
+
+
+FLOAT_DIGESTS = {
+    53: "79131425f692c973396353dfb94ede7dcf695af5290f7422ccd4bcd61ca197d5",
+    1024: "efa4aaf5a4e8ba6744521e0819fc22e983ff497ac2dd3723e9e055ed6ba05512",
+}
+
+
+@pytest.mark.parametrize("precision", sorted(FLOAT_DIGESTS))
+def test_to_float_repr_pinned(precision):
+    assert digest(floats(precision)) == FLOAT_DIGESTS[precision]
 
 
 def repr_digest(compute):
@@ -428,6 +473,7 @@ PINS = [
     ("test_golden_compose_repr_pinned", {(): COMPOSE_DIGEST}, repr_digest(golden_composed)),
     ("test_command_stdout_pinned", COMMAND_DIGESTS, command_stdout_digest),
     ("test_bound_reports_repr_pinned", BOUND_DIGESTS, repr_digest(bound_reports)),
+    ("test_to_float_repr_pinned", FLOAT_DIGESTS, repr_digest(floats)),
 ]
 
 
