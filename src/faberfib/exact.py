@@ -11,10 +11,11 @@ gcd(a, b, d) == 1, so each value has one form and each ring operation
 costs integer products and a single gcd rather than a handful of
 Fraction operations.  `ExactComplex` holds two `QSqrt5` parts.  The
 constructors take int, Fraction or the exact types and refuse floats,
-whose binary expansion would otherwise enter the exact core unnoticed.
-Floats appear only in the explicit conversion helpers at the bottom,
-which return a value together with a guaranteed error bound derived
-from dyadic interval enclosures.
+whose binary expansion would otherwise enter the exact core unnoticed,
+and `Interval` refuses float endpoints for the same reason.  Floats
+appear only in the explicit conversion helpers at the bottom, which
+return a value together with a guaranteed error bound derived from
+dyadic interval enclosures on integer endpoints.
 
 The module also owns the text grammar for scalars ("3/4",
 "-1/2 + 1/2*sqrt5", "2 + 1/3*i", ...) used by the command line and by
@@ -267,10 +268,10 @@ class QSqrt5:
             return self._a / self._d
         bits = 128
         while True:
-            iv = Interval.from_qsqrt5(self, bits)
-            mid = (iv.lo + iv.hi) / 2
-            if mid != 0 and iv.hi - iv.lo <= abs(mid) * Fraction(1, 1 << 60):
-                return float(mid)
+            # midpoint m/(2e), width w/e
+            m, w, e = Interval.from_qsqrt5(self, bits)._mid_width()
+            if m != 0 and w << 61 <= abs(m):
+                return m / (2 * e)
             bits *= 2
 
     def __repr__(self):
@@ -457,18 +458,32 @@ class IntervalStraddleError(ArithmeticError):
     """An interval operation needed a sign the enclosure could not decide."""
 
 
-def _sqrt5_interval(bits: int) -> "Interval":
-    s = math.isqrt(5 << (2 * bits))
-    scale = 1 << bits
-    return Interval(Fraction(s, scale), Fraction(s + 1, scale))
+def _interval(ln: int, ld: int, hn: int, hd: int) -> "Interval":
+    """The Interval [ln/ld, hn/hd] for ints with ld, hd > 0 and ln/ld <= hn/hd, unchecked."""
+    iv = _new(Interval)
+    iv._ln, iv._ld, iv._hn, iv._hd = ln, ld, hn, hd
+    return iv
 
 
-def _sqrt_bound(q: Fraction, bits: int, upper: bool) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
+def _hull(*terms) -> "Interval":
+    """The interval from the least to the greatest of rationals given as (n, d), d > 0."""
+    lo = hi = terms[0]
+    for t in terms[1:]:
+        if t[0] * lo[1] < lo[0] * t[1]:
+            lo = t
+        elif t[0] * hi[1] > hi[0] * t[1]:
+            hi = t
+    return _interval(*lo, *hi)
+
+
+def _sqrt_bound(n: int, d: int, bits: int, upper: bool) -> tuple[int, int]:
+    """A dyadic bound on sqrt(n/d) for n >= 0, d > 0, one step of 2**-bits/d wide."""
+    if n == 0:
+        return 0, 1
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
     s = math.isqrt((n * d) << (2 * bits))
-    return Fraction(s + 1 if upper else s, d << bits)
+    return s + 1 if upper else s, d << bits
 
 
 class Interval:
@@ -477,69 +492,101 @@ class Interval:
     Endpoint arithmetic is exact, so every operation returns a true
     enclosure of the image; only `sqrt` widens, by one dyadic step at
     the requested bit count.
+
+    Each endpoint is an int numerator over a positive int denominator,
+    left unreduced: a bound chains a few operations and reads one float,
+    so a gcd per operation costs more than the larger ints it saves
+    (Henrici's rule: reduce only where the result needs it).  `*` and
+    `/` pick the least and greatest endpoint by cross-multiplication.
+    `sqrt` reduces each endpoint first, because its dyadic bound is read
+    off the reduced numerator and denominator.  `lo`, `hi`, `mid` and
+    `width` return Fractions.
     """
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("_ln", "_ld", "_hn", "_hd")
 
-    def __init__(self, lo: Fraction, hi: Fraction):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
+    def __init__(self, lo, hi):
+        ln, ld = _rational_terms(lo)
+        hn, hd = _rational_terms(hi)
+        if ln * hd > hn * ld:
             raise ValueError("interval endpoints out of order")
-        self.lo = lo
-        self.hi = hi
+        self._ln, self._ld, self._hn, self._hd = ln, ld, hn, hd
 
     @classmethod
     def point(cls, value) -> "Interval":
-        q = Fraction(value)
-        return cls(q, q)
+        n, d = _rational_terms(value)
+        return _interval(n, d, n, d)
 
     @classmethod
     def from_qsqrt5(cls, x: QSqrt5, bits: int) -> "Interval":
-        if x.radical_part == 0:
-            return cls.point(x.rational_part)
-        s5 = _sqrt5_interval(bits)
-        return cls.point(x.rational_part) + cls.point(x.radical_part) * s5
+        a, b, d = x._a, x._b, x._d
+        if b == 0:
+            return _interval(a, d, a, d)
+        # (a + b*sqrt5)/d with sqrt5 in [s, s + 1]/2**bits
+        s = math.isqrt(5 << (2 * bits))
+        a, d = a << bits, d << bits
+        lo, hi = (s, s + 1) if b > 0 else (s + 1, s)
+        return _interval(a + b * lo, d, a + b * hi, d)
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        ld, hd, old, ohd = self._ld, self._hd, other._ld, other._hd
+        return _interval(
+            self._ln * old + other._ln * ld, ld * old, self._hn * ohd + other._hn * hd, hd * ohd
+        )
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        ld, hd, old, ohd = self._ld, self._hd, other._ld, other._hd
+        return _interval(
+            self._ln * ohd - other._hn * ld, ld * ohd, self._hn * old - other._ln * hd, hd * old
+        )
 
     def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
+        ln, ld, hn, hd = self._ln, self._ld, self._hn, self._hd
+        oln, old, ohn, ohd = other._ln, other._ld, other._hn, other._hd
+        return _hull(
+            (ln * oln, ld * old), (ln * ohn, ld * ohd), (hn * oln, hd * old), (hn * ohn, hd * ohd)
         )
-        return Interval(min(products), max(products))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0 <= other.hi:
+        ln, ld, hn, hd = other._ln, other._ld, other._hn, other._hd
+        if ln <= 0 <= hn:
             raise IntervalStraddleError("interval denominator straddles zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(min(quotients), max(quotients))
+        # times the reciprocal [1/hi, 1/lo], its denominators made positive
+        if ln > 0:
+            return self * _interval(hd, hn, ld, ln)
+        return self * _interval(-hd, -hn, -ld, -ln)
 
     def sqrt(self, bits: int) -> "Interval":
-        if self.hi < 0:
+        if self._hn < 0:
             raise ValueError("square root of a negative interval")
-        lo = self.lo if self.lo > 0 else Fraction(0)
-        return Interval(_sqrt_bound(lo, bits, upper=False), _sqrt_bound(self.hi, bits, upper=True))
+        ln = self._ln if self._ln > 0 else 0
+        return _interval(
+            *_sqrt_bound(ln, self._ld, bits, upper=False),
+            *_sqrt_bound(self._hn, self._hd, bits, upper=True),
+        )
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._ln, self._ld)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hn, self._hd)
+
+    def _mid_width(self) -> tuple[int, int, int]:
+        """(m, w, e) with midpoint m/(2e) and width w/e."""
+        ln, ld, hn, hd = self._ln, self._ld, self._hn, self._hd
+        return ln * hd + hn * ld, hn * ld - ln * hd, ld * hd
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        m, _, e = self._mid_width()
+        return Fraction(m, 2 * e)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        _, w, e = self._mid_width()
+        return Fraction(w, e)
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -566,12 +613,17 @@ def to_float(x, precision: int = 128):
 
 
 def _enclosure_float(iv: Interval):
-    """The midpoint float of an enclosure and an error bound covering all of it."""
-    mid = iv.mid
-    value = float(mid)
-    # enclosure halfwidth, plus double-rounding slack for float(mid), padded
-    err = iv.width / 2 + abs(mid) * Fraction(1, 1 << 52)
-    error = float(err * (1 + Fraction(1, 1 << 40)))
+    """The midpoint float of an enclosure and an error bound covering all of it.
+
+    Int true division rounds correctly, so each float is the one the
+    exact rational rounds to.
+    """
+    m, w, e = iv._mid_width()
+    value = m / (2 * e)
+    # enclosure halfwidth w/(2e), plus double-rounding slack |m|/(2e)*2**-52
+    # for the value, padded by a factor 1 + 2**-40
+    err = (w << 52) + abs(m)
+    error = (err * ((1 << 40) + 1)) / (e << 93)
     if error == 0.0 and err > 0:
         error = math.ulp(0.0)
     return value, error

@@ -41,10 +41,13 @@ def rising_ratio(x: Fraction, y: Fraction, n: int) -> Fraction:
         raise ValueError(f"rising factorial length must be nonnegative, got {n}")
     x = Fraction(x)
     y = Fraction(y)
-    value = Fraction(1)
+    # (x+k)/(y+k) = (a + k b) e / ((c + k e) b) for x = a/b, y = c/e; one reduction at the end
+    a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
+    num = den = 1
     for k in range(n):
-        value *= (x + k) / (y + k)
-    return value
+        num *= a + k * b
+        den *= c + k * e
+    return Fraction(num * e**n, den * b**n)
 
 
 @dataclass(frozen=True)

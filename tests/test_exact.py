@@ -19,7 +19,7 @@ from faberfib import (
     render_scalar,
     to_float,
 )
-from faberfib.exact import MAX_SCALAR_NESTING
+from faberfib.exact import MAX_SCALAR_NESTING, IntervalStraddleError, _enclosure_float
 
 SQRT5 = QSqrt5(0, 1)
 TAU = QSqrt5(Fraction(1, 2), Fraction(-1, 2))
@@ -121,9 +121,12 @@ class TestRejectsFloats:
             lambda: ExactComplex(0.5),
             lambda: ExactComplex(1, 0.25),
             lambda: ExactComplex(QSqrt5(1), 1.0),
+            lambda: Interval(0.1, 0.5),
+            lambda: Interval(Fraction(1, 2), 1.0),
+            lambda: Interval.point(0.25),
         ],
         ids=["qsqrt5", "qsqrt5-radical", "qsqrt5-fraction-float", "complex", "complex-imag",
-             "complex-qsqrt5-float"],
+             "complex-qsqrt5-float", "interval", "interval-hi", "interval-point"],
     )
     def test_float_components_raise(self, build):
         with pytest.raises(TypeError):
@@ -446,10 +449,161 @@ class TestInterval:
             assert ratio.lo <= ratio.hi
 
     def test_div_straddle_raises(self):
-        from faberfib import IntervalStraddleError
-
         with pytest.raises(IntervalStraddleError):
             Interval.point(1) / Interval(Fraction(-1), Fraction(1))
+
+
+# -- oracle: the interval on Fraction endpoints that the integer one replaced --
+
+
+class FractionInterval:
+    """Interval arithmetic on reduced Fraction endpoints, as `Interval` once ran it."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = Fraction(lo), Fraction(hi)
+        assert self.lo <= self.hi
+
+    @classmethod
+    def from_qsqrt5(cls, x, bits):
+        if x.radical_part == 0:
+            return cls(x.rational_part, x.rational_part)
+        s = math.isqrt(5 << (2 * bits))
+        s5 = cls(Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits))
+        return cls(x.rational_part, x.rational_part) + cls(x.radical_part, x.radical_part) * s5
+
+    def __add__(self, other):
+        return FractionInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return FractionInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other):
+        products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return FractionInterval(min(products), max(products))
+
+    def __truediv__(self, other):
+        if other.lo <= 0 <= other.hi:
+            raise IntervalStraddleError("interval denominator straddles zero")
+        quotients = [a / b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return FractionInterval(min(quotients), max(quotients))
+
+    def sqrt(self, bits):
+        if self.hi < 0:
+            raise ValueError("square root of a negative interval")
+
+        def bound(q, upper):
+            if q == 0:
+                return Fraction(0)
+            s = math.isqrt((q.numerator * q.denominator) << (2 * bits))
+            return Fraction(s + 1 if upper else s, q.denominator << bits)
+
+        return FractionInterval(bound(max(self.lo, Fraction(0)), False), bound(self.hi, True))
+
+
+def fraction_enclosure_float(iv):
+    """The (value, error) pair `_enclosure_float` gave from Fraction endpoints."""
+    mid = (iv.lo + iv.hi) / 2
+    err = (iv.hi - iv.lo) / 2 + abs(mid) * Fraction(1, 1 << 52)
+    error = float(err * (1 + Fraction(1, 1 << 40)))
+    if error == 0.0 and err > 0:
+        error = math.ulp(0.0)
+    return float(mid), error
+
+
+def rand_rational(rng, digits):
+    if rng.randrange(8) == 0:
+        return Fraction(0)
+    return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+
+
+class TestIntervalAgainstFractionEndpoints:
+    """Each operation gives the oracle's endpoints, and each enclosure its floats."""
+
+    @staticmethod
+    def assert_same(pair):
+        iv, ref = pair
+        assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
+        assert repr(_enclosure_float(iv)) == repr(fraction_enclosure_float(ref))
+
+    @staticmethod
+    def sample(rng, digits, bits):
+        """An (Interval, FractionInterval) pair: mixed signs, zero width, or a Q(sqrt 5) enclosure."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            q = rand_rational(rng, digits)
+            return Interval.point(q), FractionInterval(q, q)
+        if kind == 1:
+            x = QSqrt5(rand_rational(rng, digits), rand_rational(rng, digits))
+            return Interval.from_qsqrt5(x, bits), FractionInterval.from_qsqrt5(x, bits)
+        lo, hi = sorted((rand_rational(rng, digits), rand_rational(rng, digits)))
+        if kind == 2:
+            lo, hi = -abs(lo), abs(hi)  # straddles zero, or touches it
+        return Interval(lo, hi), FractionInterval(lo, hi)
+
+    @staticmethod
+    def apply(op, pair, operand, bits):
+        """op on both sides; the same exception type from both, or the new pair."""
+        outcomes = []
+        for iv, other in zip(pair, operand):
+            try:
+                if op == "sqrt":
+                    outcomes.append(iv.sqrt(bits))
+                else:
+                    outcomes.append(getattr(iv, op)(other))
+            except (IntervalStraddleError, ValueError) as exc:
+                outcomes.append(type(exc))
+        failed = [isinstance(outcome, type) for outcome in outcomes]
+        assert failed[0] == failed[1] and (not failed[0] or outcomes[0] is outcomes[1])
+        return None if failed[0] else tuple(outcomes)
+
+    @pytest.mark.parametrize("bits", [53, 128, 1024])
+    @pytest.mark.parametrize("digits", [3, 200])
+    def test_chains_of_six(self, bits, digits):
+        rng = random.Random(bits * 1000 + digits)
+        ops = ("__add__", "__sub__", "__mul__", "__truediv__", "sqrt")
+        failures = {IntervalStraddleError: 0, ValueError: 0}
+        for _ in range(40):
+            pair = self.sample(rng, digits, bits)
+            self.assert_same(pair)
+            for _ in range(6):
+                op = rng.choice(ops)
+                operand = self.sample(rng, digits, bits)
+                result = self.apply(op, pair, operand, bits)
+                if result is None:
+                    failures[IntervalStraddleError if op == "__truediv__" else ValueError] += 1
+                    pair = operand
+                else:
+                    pair = result
+                self.assert_same(pair)
+        # both failure paths were taken, on both sides alike
+        assert all(failures.values())
+
+    @pytest.mark.parametrize("bits", [53, 128, 1024])
+    def test_sqrt_of_straddling_and_negative(self, bits):
+        rng = random.Random(bits)
+        for _ in range(40):
+            lo, hi = -abs(rand_rational(rng, 30)) - Fraction(1, 7), abs(rand_rational(rng, 30))
+            # an unreduced lower end, as arithmetic leaves it, reaches sqrt through a sum
+            pair = (Interval(lo, hi) + Interval.point(Fraction(1, 3)), FractionInterval(lo, hi) + FractionInterval(Fraction(1, 3), Fraction(1, 3)))
+            self.assert_same(pair)
+            self.assert_same(self.apply("sqrt", pair, pair, bits))
+            below = (Interval(lo, lo), FractionInterval(lo, lo))
+            assert self.apply("sqrt", below, below, bits) is None
+            with pytest.raises(ValueError):
+                below[0].sqrt(bits)
+
+    def test_error_underflow_takes_the_smallest_subnormal(self):
+        half = Fraction(1, 1 << 1201)
+        pair = (Interval(-half, half), FractionInterval(-half, half))
+        self.assert_same(pair)
+        assert _enclosure_float(pair[0]) == (0.0, math.ulp(0.0))
+
+    def test_to_float_matches_oracle(self):
+        rng = random.Random(116)
+        for bits in (53, 128, 1024):
+            for _ in range(60):
+                x = QSqrt5(rand_rational(rng, rng.choice((2, 30, 200))), rand_rational(rng, 30))
+                assert repr(to_float(x, bits)) == repr(fraction_enclosure_float(FractionInterval.from_qsqrt5(x, bits)))
 
 
 class TestFractionSqrt:
