@@ -477,7 +477,7 @@ def _hull(*terms) -> "Interval":
 
 
 def _sqrt_bound(n: int, d: int, bits: int, upper: bool) -> tuple[int, int]:
-    """A dyadic bound on sqrt(n/d) for n >= 0, d > 0, one step of 2**-bits/d wide."""
+    """A bound s/(d << bits) on sqrt(n/d), n >= 0 and d > 0, with n/d reduced first."""
     if n == 0:
         return 0, 1
     g = math.gcd(n, d)
@@ -497,7 +497,8 @@ class Interval:
     left unreduced: a bound chains a few operations and reads one float,
     so a gcd per operation costs more than the larger ints it saves
     (Henrici's rule: reduce only where the result needs it).  `*` and
-    `/` pick the least and greatest endpoint by cross-multiplication.
+    `/` pick the least and greatest endpoint by cross-multiplication, or
+    directly when both factors are nonnegative, as a bound's mostly are.
     `sqrt` reduces each endpoint first, because its dyadic bound is read
     off the reduced numerator and denominator.  `lo`, `hi`, `mid` and
     `width` return Fractions.
@@ -543,6 +544,8 @@ class Interval:
     def __mul__(self, other: "Interval") -> "Interval":
         ln, ld, hn, hd = self._ln, self._ld, self._hn, self._hd
         oln, old, ohn, ohd = other._ln, other._ld, other._hn, other._hd
+        if ln >= 0 and oln >= 0:
+            return _interval(ln * oln, ld * old, hn * ohn, hd * ohd)
         return _hull(
             (ln * oln, ld * old), (ln * ohn, ld * ohd), (hn * oln, hd * old), (hn * ohn, hd * ohd)
         )
