@@ -268,7 +268,7 @@ class QSqrt5:
             return self._a / self._d
         bits = 128
         while True:
-            # midpoint m/(2e), width w/e
+            # width w/e at most |m/(2e)| * 2**-60, for the midpoint m/(2e)
             m, w, e = Interval.from_qsqrt5(self, bits)._mid_width()
             if m != 0 and w << 61 <= abs(m):
                 return m / (2 * e)

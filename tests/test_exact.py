@@ -527,7 +527,7 @@ class TestIntervalAgainstFractionEndpoints:
 
     @staticmethod
     def sample(rng, digits, bits):
-        """An (Interval, FractionInterval) pair: mixed signs, zero width, or a Q(sqrt 5) enclosure."""
+        """An (Interval, FractionInterval) pair: mixed signs, zero width or Q(sqrt 5)."""
         kind = rng.randrange(4)
         if kind == 0:
             q = rand_rational(rng, digits)
@@ -583,8 +583,11 @@ class TestIntervalAgainstFractionEndpoints:
         rng = random.Random(bits)
         for _ in range(40):
             lo, hi = -abs(rand_rational(rng, 30)) - Fraction(1, 7), abs(rand_rational(rng, 30))
-            # an unreduced lower end, as arithmetic leaves it, reaches sqrt through a sum
-            pair = (Interval(lo, hi) + Interval.point(Fraction(1, 3)), FractionInterval(lo, hi) + FractionInterval(Fraction(1, 3), Fraction(1, 3)))
+            # adding and taking away 1/3 leaves [lo, hi] on unreduced endpoints
+            third = Fraction(1, 3)
+            iv, ref = Interval.point(third), FractionInterval(third, third)
+            pair = (Interval(lo, hi) + iv - iv, FractionInterval(lo, hi) + ref - ref)
+            assert pair[0]._ld != lo.denominator
             self.assert_same(pair)
             self.assert_same(self.apply("sqrt", pair, pair, bits))
             below = (Interval(lo, lo), FractionInterval(lo, lo))
@@ -603,7 +606,8 @@ class TestIntervalAgainstFractionEndpoints:
         for bits in (53, 128, 1024):
             for _ in range(60):
                 x = QSqrt5(rand_rational(rng, rng.choice((2, 30, 200))), rand_rational(rng, 30))
-                assert repr(to_float(x, bits)) == repr(fraction_enclosure_float(FractionInterval.from_qsqrt5(x, bits)))
+                expected = fraction_enclosure_float(FractionInterval.from_qsqrt5(x, bits))
+                assert repr(to_float(x, bits)) == repr(expected)
 
 
 class TestFractionSqrt:

@@ -52,6 +52,21 @@ class TestRisingRatio:
         with pytest.raises(ValueError):
             rising_ratio(Fraction(1), Fraction(1), -1)
 
+    def test_matches_running_fraction_product(self):
+        # negative and integer arguments reach a zero factor, or a zero divisor
+        rng = random.Random(502)
+        for _ in range(300):
+            x, y, n = rand_fraction(rng, 6), rand_fraction(rng, 6), rng.randint(0, 12)
+            try:
+                expected = Fraction(1)
+                for k in range(n):
+                    expected *= (x + k) / (y + k)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    rising_ratio(x, y, n)
+                continue
+            assert rising_ratio(x, y, n) == expected
+
 
 class TestOperatorParams:
     def test_window_flag(self):
