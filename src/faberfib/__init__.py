@@ -7,115 +7,23 @@ inverses (two independent routes), partition-sum polynomials, the
 generator's Fibonacci-weighted Taylor coefficients, the Tremblay
 fractional operator, the two-sided membership test, and the resulting
 coefficient bounds with certified float renderings.
+
+Each public name is declared once, in its module's `__all__`; the
+package re-exports exactly those names.
 """
 
-from .bounds import (
-    DEFAULT_PRECISION,
-    BoundReport,
-    BranchReport,
-    bound_a2,
-    bound_a3,
-    bound_theorem1,
-    corollary_check,
-)
-from .exact import (
-    ExactComplex,
-    Interval,
-    IntervalStraddleError,
-    QSqrt5,
-    fraction_sqrt,
-    parse_qsqrt5,
-    parse_rational,
-    parse_scalar,
-    render_qsqrt5,
-    render_rational,
-    render_scalar,
-    to_float,
-)
-from .faber import (
-    faber_inverse_coefficients,
-    faber_polynomial,
-    partial_bell,
-)
-from .golden import (
-    ABS_TAU,
-    SQRT5,
-    TAU,
-    UNIVALENCE_RADIUS,
-    SchwarzCandidate,
-    fibonacci,
-    golden_coefficient,
-    golden_coefficient_fibonacci,
-    golden_coefficients,
-    golden_series,
-    golden_value,
-    golden_value_exact,
-    solve_schwarz,
-)
-from .series import NormalizedSeries, TruncatedSeries, join_field
-from .tremblay import (
-    CONSISTENT,
-    VIOLATED,
-    ClassParams,
-    MembershipReport,
-    OperatorParams,
-    apply_operator,
-    membership_witness,
-    operator_multiplier,
-    rising_ratio,
-    subordination_lhs,
-)
+from . import bounds, exact, faber, golden, series, tremblay
+from .bounds import *
+from .exact import *
+from .faber import *
+from .golden import *
+from .series import *
+from .tremblay import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "QSqrt5",
-    "ExactComplex",
-    "Interval",
-    "IntervalStraddleError",
-    "to_float",
-    "fraction_sqrt",
-    "parse_rational",
-    "parse_qsqrt5",
-    "parse_scalar",
-    "render_rational",
-    "render_qsqrt5",
-    "render_scalar",
-    "TruncatedSeries",
-    "NormalizedSeries",
-    "join_field",
-    "partial_bell",
-    "faber_polynomial",
-    "faber_inverse_coefficients",
-    "TAU",
-    "ABS_TAU",
-    "SQRT5",
-    "UNIVALENCE_RADIUS",
-    "fibonacci",
-    "golden_coefficient",
-    "golden_coefficients",
-    "golden_coefficient_fibonacci",
-    "golden_series",
-    "golden_value",
-    "golden_value_exact",
-    "SchwarzCandidate",
-    "solve_schwarz",
-    "OperatorParams",
-    "ClassParams",
-    "rising_ratio",
-    "operator_multiplier",
-    "apply_operator",
-    "subordination_lhs",
-    "MembershipReport",
-    "membership_witness",
-    "CONSISTENT",
-    "VIOLATED",
-    "BoundReport",
-    "BranchReport",
-    "bound_theorem1",
-    "bound_a2",
-    "bound_a3",
-    "corollary_check",
-    "DEFAULT_PRECISION",
+__all__ = ["__version__"] + [
+    name
+    for module in (exact, series, faber, golden, tremblay, bounds)
+    for name in module.__all__
 ]

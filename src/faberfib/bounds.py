@@ -36,7 +36,7 @@ from .exact import (
     fraction_sqrt,
     render_qsqrt5,
 )
-from .golden import ABS_TAU, TAU
+from .golden import _TAU_SQ, ABS_TAU
 from .tremblay import OperatorParams, rising_ratio
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 
 DEFAULT_PRECISION = 128
 
-_TAU_SQ = TAU * TAU
 _ZERO = QSqrt5(0)
 _ONE = QSqrt5(1)
 
@@ -119,6 +118,8 @@ def _coerce_gamma(gamma) -> ExactComplex:
 class _Terms:
     """|gamma|**2, and with `op` also P, Q and |gamma P - 3Q|**2, of one bound call.
 
+    P = 3 (mu+1)_2 / (rho+1)_2 and Q = 4 ((mu+1)_1 / (rho+1)_1)**2, both
+    Pochhammer quotients from `rising_ratio`.
     The exactness rule lives here alone: |gamma| is exact when it is
     rational, and |gamma P - 3Q| when gamma P - 3Q is real.
     """
@@ -128,9 +129,9 @@ class _Terms:
         root = fraction_sqrt(self.g2.to_fraction()) if self.g2.is_rational else None
         self.abs_g = None if root is None else QSqrt5(root)
         if op is not None:
-            mu, rho = op.mu, op.rho
-            self.p = QSqrt5(Fraction(3) * (mu + 1) * (mu + 2) / ((rho + 1) * (rho + 2)))
-            self.q = QSqrt5(Fraction(4) * (mu + 1) ** 2 / (rho + 1) ** 2)
+            shifted = op.mu + 1, op.rho + 1
+            self.p = QSqrt5(3 * rising_ratio(*shifted, 2))
+            self.q = QSqrt5(4 * rising_ratio(*shifted, 1) ** 2)
             disc = g * self.p - 3 * self.q
             self.disc_sq = disc.abs_squared()
             self.abs_disc = abs(disc.real) if disc.is_real else None

@@ -1,21 +1,25 @@
 """Exact scalar arithmetic and controlled conversion to floats.
 
-Three scalar types form a tower: `fractions.Fraction` (rationals),
-`QSqrt5` (the real quadratic field Q(sqrt 5)), and `ExactComplex`
-(complex numbers whose real and imaginary parts live in Q(sqrt 5)).
-Arithmetic between levels promotes upward and is exact everywhere; no
-operation in this module rounds.
+Three scalar types form a tower over the ints: `fractions.Fraction`
+(rationals), `QSqrt5` (the real quadratic field Q(sqrt 5)), and
+`ExactComplex` (complex numbers whose real and imaginary parts live in
+Q(sqrt 5)).  Arithmetic between levels promotes upward and is exact
+everywhere; no operation in this module rounds.
 
 A `QSqrt5` stores (a + b*sqrt5)/d as three ints with d > 0 and
 gcd(a, b, d) == 1, so each value has one form and each ring operation
 costs integer products and a single gcd rather than a handful of
-Fraction operations.  `ExactComplex` holds two `QSqrt5` parts.  The
-constructors take int, Fraction or the exact types and refuse floats,
+Fraction operations.  `ExactComplex` holds two `QSqrt5` parts.
+
+This module owns the tower int < Fraction < QSqrt5 < ExactComplex and
+its float gate, for the whole package: `_rational_terms` reads every
+rational input, `_tower_type` names the level of an exact scalar, and
+`join_field` joins two series coefficient fields.  Each refuses floats,
 whose binary expansion would otherwise enter the exact core unnoticed,
-and `Interval` refuses float endpoints for the same reason.  Floats
-appear only in the explicit conversion helpers at the bottom, which
-return a value together with a guaranteed error bound derived from
-dyadic interval enclosures on integer endpoints.
+and so do the constructors and `Interval`.  Floats appear only in the
+explicit conversion helpers at the bottom, which return a value
+together with a guaranteed error bound derived from dyadic interval
+enclosures on integer endpoints.
 
 The module also owns the text grammar for scalars ("3/4",
 "-1/2 + 1/2*sqrt5", "2 + 1/3*i", ...) used by the command line and by
@@ -416,6 +420,34 @@ class ExactComplex:
         return render_scalar(self)
 
 
+# the exact tower from the bottom up; an int is the ring Z, not a series field
+_TOWER = (int, Fraction, QSqrt5, ExactComplex)
+
+
+def _tower_type(x):
+    """The level of the tower that `x` belongs to; floats and every other type are refused."""
+    for kind in _TOWER:
+        if isinstance(x, kind):
+            return kind
+    raise TypeError(f"exact scalars required, got {type(x).__name__}")
+
+
+def join_field(first, second):
+    """Smallest field in the Fraction < QSqrt5 < ExactComplex tower holding both.
+
+    Either argument may also be `int`, the ring below the three fields,
+    so a series field joins with the level of any exact scalar.
+    """
+    if first is second:
+        return first
+    try:
+        return _TOWER[max(_TOWER.index(first), _TOWER.index(second))]
+    except ValueError:
+        raise TypeError(
+            f"cannot join coefficient fields {first.__name__} and {second.__name__}"
+        ) from None
+
+
 # -- integer coordinates over a shared denominator ---------------------------
 #
 # Integer kernels inside the package (series composition and reversion)
@@ -500,8 +532,8 @@ class Interval:
     `/` pick the least and greatest endpoint by cross-multiplication, or
     directly when both factors are nonnegative, as a bound's mostly are.
     `sqrt` reduces each endpoint first, because its dyadic bound is read
-    off the reduced numerator and denominator.  `lo`, `hi`, `mid` and
-    `width` return Fractions.
+    off the reduced numerator and denominator.  `lo` and `hi` return
+    Fractions.
     """
 
     __slots__ = ("_ln", "_ld", "_hn", "_hd")
@@ -581,16 +613,6 @@ class Interval:
         ln, ld, hn, hd = self._ln, self._ld, self._hn, self._hd
         return ln * hd + hn * ld, hn * ld - ln * hd, ld * hd
 
-    @property
-    def mid(self) -> Fraction:
-        m, _, e = self._mid_width()
-        return Fraction(m, 2 * e)
-
-    @property
-    def width(self) -> Fraction:
-        _, w, e = self._mid_width()
-        return Fraction(w, e)
-
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
@@ -608,11 +630,7 @@ def to_float(x, precision: int = 128):
         re, ere = to_float(x.real, precision)
         im, eim = to_float(x.imag, precision)
         return complex(re, im), ere + eim
-    if isinstance(x, (int, Fraction)):
-        x = QSqrt5(x)
-    if not isinstance(x, QSqrt5):
-        raise TypeError(f"cannot convert {type(x).__name__} to float with error bound")
-    return _enclosure_float(Interval.from_qsqrt5(x, precision))
+    return _enclosure_float(Interval.from_qsqrt5(QSqrt5(x), precision))
 
 
 def _enclosure_float(iv: Interval):
@@ -633,11 +651,10 @@ def _enclosure_float(iv: Interval):
 
 
 def fraction_sqrt(q: Fraction):
-    """Exact square root of a rational, or None when it is not rational."""
-    q = Fraction(q)
-    if q < 0:
+    """Exact square root of an int or Fraction, or None when it is not rational."""
+    n, d = _rational_terms(q)
+    if n < 0:
         return None
-    n, d = q.numerator, q.denominator
     rn = math.isqrt(n)
     rd = math.isqrt(d)
     if rn * rn == n and rd * rd == d:

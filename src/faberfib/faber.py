@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import ExactComplex, QSqrt5
+from .exact import _TOWER, _tower_type
 from .series import NormalizedSeries, TruncatedSeries
 
 __all__ = [
@@ -63,14 +63,16 @@ def partial_bell(n: int, m: int, u):
     """Sum over partitions of n into m parts of m!/(prod d_i!) * prod u_i^d_i.
 
     Equivalently the coefficient of z^n in (u_1 z + ... + u_n z^n)^m.
-    `u` supplies u_1 .. u_n (longer is fine, extra entries are ignored);
-    requires 1 <= m <= n.
+    `u` supplies u_1 .. u_n (longer is fine, extra entries are ignored),
+    each an exact scalar; floats are refused.  Requires 1 <= m <= n.
     """
     if not 1 <= m <= n:
         raise ValueError(f"partition sum needs 1 <= m <= n, got n={n}, m={m}")
     u = list(u)
     if len(u) < n:
         raise ValueError(f"need {n} inputs u_1..u_{n}, got {len(u)}")
+    for x in u[:n]:
+        _tower_type(x)
     total = 0
     m_fact = factorial(m)
     for profile in _partition_multiplicities(n, m):
@@ -82,21 +84,6 @@ def partial_bell(n: int, m: int, u):
             term = term * u[part - 1] ** count
         total = total + term
     return total
-
-
-# exact input types from the bottom of the tower up; an int is the ring Z
-_EXACT_TYPES = (int, Fraction, QSqrt5, ExactComplex)
-
-
-def _shared_type(values):
-    """The highest type of the tower among `values`; floats and others are refused."""
-    rank = 0
-    for x in values:
-        levels = [level for level, kind in enumerate(_EXACT_TYPES) if isinstance(x, kind)]
-        if not levels:
-            raise TypeError(f"exact inputs required, got {type(x).__name__}")
-        rank = max(rank, *levels)
-    return _EXACT_TYPES[rank]
 
 
 def faber_polynomial(n: int, p: int, a):
@@ -112,8 +99,11 @@ def faber_polynomial(n: int, p: int, a):
     skipped.  The result has the type those inputs share: ints give an
     int (each division by k is exact), otherwise the highest of
     Fraction < QSqrt5 < ExactComplex among them.  For p = 0 it is the
-    int 0, and for p = 1 it is a_{n+1} itself.  Floats are refused.
+    int 0, and for p = 1 it is a_{n+1} itself.  Floats are refused, as
+    inputs and as p.
     """
+    if not isinstance(p, int):
+        raise TypeError(f"the exponent p must be an int, got {type(p).__name__}")
     if n < 1:
         raise ValueError(f"coefficient index must be at least 1, got {n}")
     a = list(a)
@@ -121,7 +111,7 @@ def faber_polynomial(n: int, p: int, a):
         raise ValueError(f"need {n + 1} inputs a_1..a_{n + 1}, got {len(a)}")
     if a[0] != 1:
         raise ValueError("leading input a_1 must be exactly 1")
-    field = _shared_type(a[1 : n + 1])
+    field = max(map(_tower_type, a[1 : n + 1]), key=_TOWER.index)
     if p == 0:
         return 0
     if p == 1:

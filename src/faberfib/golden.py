@@ -53,6 +53,7 @@ __all__ = [
 # the negative root of x**2 = x + 1; its absolute value is the golden ratio conjugate
 TAU = QSqrt5(Fraction(1, 2), Fraction(-1, 2))
 ABS_TAU = -TAU
+_TAU_SQ = TAU * TAU
 SQRT5 = QSqrt5(0, 1)
 # radius of the disc on which the generator is known to be univalent
 UNIVALENCE_RADIUS = QSqrt5(Fraction(3, 2), Fraction(-1, 2))
@@ -76,10 +77,9 @@ def golden_coefficients(order: int) -> list[QSqrt5]:
     """
     if order < 1:
         raise ValueError(f"coefficient order must be at least 1, got {order}")
-    tau_sq = TAU * TAU
-    coeffs = [TAU, 3 * tau_sq][:order]
+    coeffs = [TAU, 3 * _TAU_SQ][:order]
     while len(coeffs) < order:
-        coeffs.append(TAU * coeffs[-1] + tau_sq * coeffs[-2])
+        coeffs.append(TAU * coeffs[-1] + _TAU_SQ * coeffs[-2])
     return coeffs
 
 
@@ -114,9 +114,8 @@ def golden_series(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError(f"expansion order must be at least 1, got {order}")
-    tau_sq = TAU * TAU
-    num = [QSqrt5(1), QSqrt5(0), tau_sq][: order + 1]
-    den = [QSqrt5(1), -TAU, -tau_sq][: order + 1]
+    num = [QSqrt5(1), QSqrt5(0), _TAU_SQ][: order + 1]
+    den = [QSqrt5(1), -TAU, -_TAU_SQ][: order + 1]
     num += [QSqrt5(0)] * (order + 1 - len(num))
     den += [QSqrt5(0)] * (order + 1 - len(den))
     numerator = TruncatedSeries(num, QSqrt5)
@@ -130,15 +129,9 @@ def golden_value_exact(z):
     Accepts int, Fraction, QSqrt5 or ExactComplex and returns a value of
     the matching exact type.  Raises ZeroDivisionError at the two poles.
     """
-    if isinstance(z, ExactComplex):
-        x = z
-    elif isinstance(z, (int, Fraction, QSqrt5)):
-        x = QSqrt5(z)
-    else:
-        raise TypeError(f"exact evaluation needs an exact scalar, got {type(z).__name__}")
-    tau_sq = TAU * TAU
-    num = 1 + tau_sq * x * x
-    den = 1 - TAU * x - tau_sq * x * x
+    x = z if isinstance(z, ExactComplex) else QSqrt5(z)
+    num = 1 + _TAU_SQ * x * x
+    den = 1 - TAU * x - _TAU_SQ * x * x
     if not den:
         raise ZeroDivisionError("the golden generator has a pole at this point")
     return num / den

@@ -4,8 +4,9 @@ A series carries exactly the coefficients c_0 .. c_N of its truncation
 order N; coefficients beyond N are unknown, never assumed zero, so any
 operation that would need them either drops the order (derivative) or
 refuses mismatched operands.  The coefficient field is pluggable: any
-of Fraction, QSqrt5, ExactComplex works, and binary operations join the
-two fields upward.
+of Fraction, QSqrt5, ExactComplex works, any other is refused, and
+binary operations join the two fields upward through `join_field`,
+which lives with the tower in `exact` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,29 +14,23 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact import ExactComplex, QSqrt5, _from_integer_coordinates, _integer_coordinates
+from .exact import (
+    _TOWER,
+    ExactComplex,
+    QSqrt5,
+    _from_integer_coordinates,
+    _integer_coordinates,
+    _tower_type,
+    join_field,
+)
 
 __all__ = ["TruncatedSeries", "NormalizedSeries", "join_field"]
-
-_TOWER = (Fraction, QSqrt5, ExactComplex)
 
 
 def _exact_fraction(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError("series coefficients must be exact, not float")
     return Fraction(c)
-
-
-def join_field(first, second):
-    """Smallest field in the Fraction < QSqrt5 < ExactComplex tower holding both."""
-    if first is second:
-        return first
-    try:
-        return _TOWER[max(_TOWER.index(first), _TOWER.index(second))]
-    except ValueError:
-        raise TypeError(
-            f"cannot join coefficient fields {first.__name__} and {second.__name__}"
-        ) from None
 
 
 def _convolve(left, right, lo: int, hi: int, k: int, zero):
@@ -96,6 +91,8 @@ class TruncatedSeries:
     """Coefficients c_0 .. c_N of a power series truncated at order N."""
 
     def __init__(self, coeffs, field=Fraction):
+        if field not in _TOWER[1:]:
+            raise TypeError(f"a series field is Fraction, QSqrt5 or ExactComplex, not {field!r}")
         convert = _exact_fraction if field is Fraction else field
         coeffs = tuple(convert(c) for c in coeffs)
         if not coeffs:
@@ -144,7 +141,7 @@ class TruncatedSeries:
         return self._zip_with(other, lambda a, b: a - b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt5, ExactComplex)):
+        if isinstance(other, _TOWER):
             return self.scaled(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -159,16 +156,12 @@ class TruncatedSeries:
         return TruncatedSeries(out, field)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt5, ExactComplex)):
+        if isinstance(other, _TOWER):
             return self.scaled(other)
         return NotImplemented
 
     def scaled(self, scalar) -> "TruncatedSeries":
-        field = self.field
-        if isinstance(scalar, QSqrt5):
-            field = join_field(field, QSqrt5)
-        elif isinstance(scalar, ExactComplex):
-            field = join_field(field, ExactComplex)
+        field = join_field(self.field, _tower_type(scalar))
         return TruncatedSeries([scalar * c for c in self.coeffs], field)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":

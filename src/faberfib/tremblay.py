@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactComplex
+from .exact import ExactComplex, _rational_terms
 from .golden import SchwarzCandidate, solve_schwarz
 from .series import TruncatedSeries
 
@@ -29,6 +29,8 @@ __all__ = [
     "subordination_lhs",
     "MembershipReport",
     "membership_witness",
+    "CONSISTENT",
+    "VIOLATED",
 ]
 
 CONSISTENT = "consistent-to-order"
@@ -36,13 +38,14 @@ VIOLATED = "necessary-condition-violated"
 
 
 def rising_ratio(x: Fraction, y: Fraction, n: int) -> Fraction:
-    """The Pochhammer quotient (x)_n / (y)_n = prod_{k=0}^{n-1} (x+k)/(y+k)."""
+    """The Pochhammer quotient (x)_n / (y)_n = prod_{k=0}^{n-1} (x+k)/(y+k).
+
+    x and y are int or Fraction; floats are refused.
+    """
     if n < 0:
         raise ValueError(f"rising factorial length must be nonnegative, got {n}")
-    x = Fraction(x)
-    y = Fraction(y)
     # (x+k)/(y+k) = (a + k b) e / ((c + k e) b) for x = a/b, y = c/e; one reduction at the end
-    a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
+    (a, b), (c, e) = _rational_terms(x), _rational_terms(y)
     num = den = 1
     for k in range(n):
         num *= a + k * b
@@ -65,8 +68,8 @@ class OperatorParams:
     rho: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "rho", Fraction(self.rho))
+        object.__setattr__(self, "mu", Fraction(*_rational_terms(self.mu)))
+        object.__setattr__(self, "rho", Fraction(*_rational_terms(self.rho)))
         if self.mu <= 0 or self.rho <= 0:
             raise ValueError(f"operator orders must be positive, got mu={self.mu}, rho={self.rho}")
 

@@ -124,9 +124,11 @@ class TestRejectsFloats:
             lambda: Interval(0.1, 0.5),
             lambda: Interval(Fraction(1, 2), 1.0),
             lambda: Interval.point(0.25),
+            lambda: fraction_sqrt(0.25),
         ],
         ids=["qsqrt5", "qsqrt5-radical", "qsqrt5-fraction-float", "complex", "complex-imag",
-             "complex-qsqrt5-float", "interval", "interval-hi", "interval-point"],
+             "complex-qsqrt5-float", "interval", "interval-hi", "interval-point",
+             "fraction-sqrt"],
     )
     def test_float_components_raise(self, build):
         with pytest.raises(TypeError):

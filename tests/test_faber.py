@@ -109,6 +109,14 @@ class TestPartialBell:
         with pytest.raises(ValueError):
             partial_bell(4, 2, [1])  # too few inputs
 
+    def test_float_inputs_rejected(self):
+        with pytest.raises(TypeError):
+            partial_bell(2, 1, [0.5, 0.25])
+        with pytest.raises(TypeError):
+            partial_bell(2, 2, [Fraction(1, 2), 0.25])
+        # entries past u_n are ignored, so they are not checked
+        assert partial_bell(1, 1, [Fraction(1, 2), 0.25]) == Fraction(1, 2)
+
 
 class TestFaberPolynomial:
     def test_low_order_closed_forms(self):
@@ -142,6 +150,12 @@ class TestFaberPolynomial:
             faber_polynomial(2, -3, [1, 1])  # needs a_1..a_3
         with pytest.raises(ValueError):
             faber_polynomial(0, -3, [1])
+
+    def test_inexact_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            faber_polynomial(2, 0.5, [1, Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(TypeError):
+            faber_polynomial(2, Fraction(1, 2), [1, Fraction(1, 2), Fraction(1, 3)])
 
 
 class TestMillerAgainstPartitionSums:

@@ -58,6 +58,18 @@ class TestConstruction:
             with pytest.raises(TypeError):
                 TruncatedSeries(coeffs, field=field)
 
+    @pytest.mark.parametrize("field", [int, float, str, complex])
+    def test_field_outside_the_tower_rejected(self, field):
+        # an int field would floor 1/2 to 0, a float field would let floats in
+        with pytest.raises(TypeError):
+            TruncatedSeries([0, 1, Fraction(1, 2)], field)
+
+    def test_float_field_reaches_no_routine(self):
+        with pytest.raises(TypeError):
+            faber_inverse_coefficients(NormalizedSeries([0, 1, 0.5, 0.25], float))
+        with pytest.raises(TypeError):
+            TruncatedSeries([0, 1, 0.5], float).revert()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TruncatedSeries([])

@@ -52,6 +52,13 @@ class TestRisingRatio:
         with pytest.raises(ValueError):
             rising_ratio(Fraction(1), Fraction(1), -1)
 
+    def test_float_arguments_rejected(self):
+        # a float would bring its binary expansion into the exact quotient
+        with pytest.raises(TypeError):
+            rising_ratio(0.5, 0.25, 2)
+        with pytest.raises(TypeError):
+            rising_ratio(Fraction(1, 2), 0.25, 2)
+
     def test_matches_running_fraction_product(self):
         # negative and integer arguments reach a zero factor, or a zero divisor
         rng = random.Random(502)
@@ -85,6 +92,12 @@ class TestOperatorParams:
         op = OperatorParams(1, Fraction(1, 2))
         assert op.mu == Fraction(1)
         assert isinstance(op.mu, Fraction)
+
+    def test_float_orders_rejected(self):
+        with pytest.raises(TypeError):
+            OperatorParams(0.1, Fraction(1, 4))
+        with pytest.raises(TypeError):
+            OperatorParams(Fraction(1, 2), 0.25)
 
 
 class TestOperatorAction:
