@@ -12,11 +12,11 @@ costs integer products and a single gcd rather than a handful of
 Fraction operations.  `ExactComplex` holds two `QSqrt5` parts.
 
 This module owns the tower int < Fraction < QSqrt5 < ExactComplex and
-its float gate, for the whole package: `_rational_terms` reads every
-rational input, `_tower_type` names the level of an exact scalar, and
-`join_field` joins two series coefficient fields.  Each refuses floats,
-whose binary expansion would otherwise enter the exact core unnoticed,
-and so do the constructors and `Interval`.  Floats appear only in the
+its float gate, for the whole package: `_rational_terms` reads the
+rational inputs (here and in `tremblay`), `_tower_type` names the level
+of an exact scalar, and `join_field` joins two series coefficient
+fields.  Each refuses floats, whose binary expansion would otherwise
+enter the exact core unnoticed.  Floats appear only in the
 explicit conversion helpers at the bottom, which return a value
 together with a guaranteed error bound derived from dyadic interval
 enclosures on integer endpoints.
